@@ -19,11 +19,11 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .bgp_prefs import MandatedPreferences
 from .netmodel import DemandMatrix, LinkKey, NetworkInstance, ValidationError
-from .paths import WeightError, graph_arrays, path_weight
+from .paths import path_weight
 from .repair import RepairConfig, RepairSolution, VerificationRecord, changed_links_of, verify_solution
+from .routing import route_demands
 from .te import JointConfig, TECostModel, cost_model_for, solve_joint_unequal
 
 
@@ -37,27 +37,16 @@ def ecmp_cost(
     ECMP branch. Rejects non-positive weights and stranded demand."""
     if model is None:
         model = cost_model_for(inst)
-    ga = graph_arrays(inst)
-    warr = ga.weight_array(w)
-    if (warr <= 0).any():
-        raise WeightError("equal-split routing requires strictly positive weights")
+    routing = route_demands(inst, demands, w)
+    ga = routing.ga
     caps = np.array([model.capacities[k] for k in ga.links])
-    agg = np.zeros(len(ga.adj_node))
-    for d in demands.destinations():
-        vec = np.zeros(len(ga.nodes))
-        for (s, dd), mbps in demands.entries.items():
-            if dd == d:
-                vec[ga.index[s]] += mbps
-        dist = _kernels.dijkstra(ga.adj_ptr, ga.adj_node, ga.adj_link, warr, ga.index[d])
-        loads, stranded = _kernels.ecmp_loads(
-            ga.adj_ptr, ga.adj_node, ga.adj_link, warr, dist, vec
-        )
-        if stranded > 1e-12:
-            raise ValidationError("demand between disconnected nodes")
-        agg += loads
-    # the penalty applies to each directed arc's total load across destinations
+    # the penalty applies to each directed arc's total load across
+    # destinations, summed in destination order
+    agg = np.zeros(len(ga.arcs))
+    for row in routing.loads:
+        agg += row
     return float(sum(
-        model.phi(float(agg[k]), float(caps[ga.adj_link[k]]))
+        model.phi(float(agg[k]), float(caps[ga.arc_link[k]]))
         for k in np.nonzero(agg)[0]
     ))
 
@@ -185,7 +174,8 @@ def search(
             }))
 
     record = verify_solution(inst, prefs, cur)
-    assert record.ok, "incumbent drifted infeasible"  # in-loop filter guarantees this
+    if not record.ok:  # the in-loop mandate filter should make this impossible
+        raise RuntimeError("local search incumbent drifted infeasible")
     changed, n_changed = changed_links_of(w_initial, cur)
     return RepairSolution(
         weights=cur,

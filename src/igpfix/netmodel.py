@@ -20,6 +20,10 @@ class ParseError(Exception):
     """Input file is malformed."""
 
 
+class WeightError(Exception):
+    """A required link weight is unknown or invalid."""
+
+
 def link_key(a: str, b: str) -> LinkKey:
     """Canonical undirected link key (sorted endpoint pair)."""
     return (a, b) if a <= b else (b, a)

@@ -7,19 +7,14 @@ is the one-element tuple (d,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
 
-from . import _kernels
-from .netmodel import LinkKey, NetworkInstance, link_key
+from .netmodel import LinkKey, NetworkInstance, WeightError, link_key
+from .routing import shortest_paths
 
 RoutePath = tuple[str, ...]
-
-
-class WeightError(Exception):
-    """A required link weight is unknown or invalid."""
 
 
 def is_empty(p: RoutePath) -> bool:
@@ -56,54 +51,6 @@ def path_weight(p: RoutePath, w: Mapping[LinkKey, Optional[int]]) -> int:
 
 
 @dataclass(frozen=True)
-class GraphArrays:
-    """CSR adjacency of an instance for the numeric kernels."""
-
-    nodes: tuple[str, ...]
-    index: Mapping[str, int]
-    links: tuple[LinkKey, ...]
-    link_index: Mapping[LinkKey, int]
-    adj_ptr: np.ndarray
-    adj_node: np.ndarray
-    adj_link: np.ndarray
-
-    def weight_array(self, w: Mapping[LinkKey, Optional[int]]) -> np.ndarray:
-        out = np.empty(len(self.links))
-        for i, k in enumerate(self.links):
-            v = w.get(k)
-            if v is None:
-                raise WeightError(f"unknown weight on link {k}")
-            out[i] = float(v)
-        return out
-
-
-@lru_cache(maxsize=64)
-def _arrays_for(nodes: tuple[str, ...], links: tuple[LinkKey, ...]) -> GraphArrays:
-    index = {v: i for i, v in enumerate(nodes)}
-    link_index = {k: i for i, k in enumerate(links)}
-    n = len(nodes)
-    deg = np.zeros(n + 1, np.int64)
-    for a, b in links:
-        deg[index[a] + 1] += 1
-        deg[index[b] + 1] += 1
-    adj_ptr = np.cumsum(deg)
-    adj_node = np.zeros(int(adj_ptr[-1]), np.int64)
-    adj_link = np.zeros(int(adj_ptr[-1]), np.int64)
-    fill = adj_ptr[:-1].copy()
-    for li, (a, b) in enumerate(links):
-        ia, ib = index[a], index[b]
-        adj_node[fill[ia]], adj_link[fill[ia]] = ib, li
-        fill[ia] += 1
-        adj_node[fill[ib]], adj_link[fill[ib]] = ia, li
-        fill[ib] += 1
-    return GraphArrays(nodes, index, links, link_index, adj_ptr, adj_node, adj_link)
-
-
-def graph_arrays(inst: NetworkInstance) -> GraphArrays:
-    return _arrays_for(inst.nodes, tuple(inst.link_keys()))
-
-
-@dataclass(frozen=True)
 class EcmpDag:
     """Minimum-weight next-hop DAG toward one destination."""
 
@@ -118,29 +65,18 @@ class EcmpDag:
 def build_ecmp_dag(
     inst: NetworkInstance, d: str, w: Mapping[LinkKey, Optional[int]]
 ) -> EcmpDag:
-    """DAG of all minimum-weight next hops toward d.
-
-    Rejects zero-weight links: ties across a zero-length link would create
-    degenerate ECMP structures, so the equal-split evaluator requires
-    strictly positive weights (the feasibility system still permits 0).
-    """
-    ga = graph_arrays(inst)
-    if d not in ga.index:
+    """DAG of all minimum-weight next hops toward d; rejects zero weights
+    (see routing.Routing.require_positive)."""
+    if d not in inst.nodes:
         raise KeyError(f"destination {d!r} not in instance")
-    warr = ga.weight_array(w)
-    if (warr <= 0).any():
-        bad = ga.links[int(np.argmin(warr))]
-        raise WeightError(f"non-positive weight on link {bad}; ECMP requires >= 1")
-    dist = _kernels.dijkstra(ga.adj_ptr, ga.adj_node, ga.adj_link, warr, ga.index[d])
-    next_hops: dict[str, tuple[str, ...]] = {}
-    for v in inst.nodes:
-        iv = ga.index[v]
-        hops = []
-        for k in range(ga.adj_ptr[iv], ga.adj_ptr[iv + 1]):
-            u = int(ga.adj_node[k])
-            if dist[iv] == warr[ga.adj_link[k]] + dist[u]:
-                hops.append(ga.nodes[u])
-        next_hops[v] = tuple(sorted(hops)) if dist[iv] > 0 else ()
+    routing = shortest_paths(inst, [d], w)
+    routing.require_positive()
+    ga, dist = routing.ga, routing.dist[0]
+    hops: dict[str, list[str]] = {v: [] for v in inst.nodes}
+    for k in np.nonzero(routing.next_hop[0])[0]:
+        u, v = ga.arcs[k]
+        hops[u].append(v)
+    next_hops = {v: tuple(sorted(hops[v])) if dist[ga.index[v]] > 0 else () for v in inst.nodes}
     return EcmpDag(d, {v: float(dist[ga.index[v]]) for v in inst.nodes}, next_hops)
 
 
@@ -148,10 +84,8 @@ def dijkstra_distances(
     inst: NetworkInstance, d: str, w: Mapping[LinkKey, Optional[int]]
 ) -> dict[str, float]:
     """Shortest-path distance of every node to d (inf if unreachable)."""
-    ga = graph_arrays(inst)
-    warr = ga.weight_array(w)
-    dist = _kernels.dijkstra(ga.adj_ptr, ga.adj_node, ga.adj_link, warr, ga.index[d])
-    return {v: float(dist[ga.index[v]]) for v in inst.nodes}
+    routing = shortest_paths(inst, [d], w)
+    return {v: float(routing.dist[0, routing.ga.index[v]]) for v in inst.nodes}
 
 
 def enumerate_paths(inst: NetworkInstance, d: str, hop_bound: int) -> list[RoutePath]:

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from . import _kernels
 from .bgp_prefs import MandatedPreferences
 from .netmodel import LinkKey, NetworkInstance, ValidationError
 from .paths import RoutePath, enumerate_paths_multi, is_empty, path_weight
@@ -112,7 +111,7 @@ def _node_order(pspp: PsppInstance, v: str) -> tuple[RoutePath, ...]:
 
 
 class _Encoded:
-    """Integer encoding of a totally ordered instance for the step kernel."""
+    """Integer encoding of a totally ordered instance for _simulate_run."""
 
     def __init__(self, pspp: PsppInstance) -> None:
         nodes = set(pspp.permitted)
@@ -167,8 +166,61 @@ class _Encoded:
         }
 
 
+def _simulate_run(order_ptr, order_path, path_next, path_tail, node_cyclic,
+                  dom_ptr, dom_path, sched, window, traj, max_steps):
+    """Run the selection dynamics; record the full trajectory.
+
+    A path is available when its immediate suffix is the current selection
+    of its next hop (empty paths, next hop -1, are always available at their
+    own node). A node whose preference relation is a (total) order adopts
+    the first available path of its best-first order list. A node whose
+    pairwise relation is cyclic has no best path: it behaves like the real
+    decision process and switches relative to its incumbent — if any
+    available path beats the current one (dom_ptr/dom_path list the beaters
+    of each path) it adopts the first such, otherwise it keeps the incumbent;
+    with no usable incumbent it takes the first available path of its list.
+    Returns (converged, steps, changes) where changes[t] marks steps that
+    altered a selection. Convergence: no change across 2*window steps.
+    """
+    n = order_ptr.shape[0] - 1
+    sel = np.full(n, -1, np.int32)
+    changes = np.zeros(max_steps, np.bool_)
+    last_change = -1
+    steps = 0
+    for t in range(max_steps):
+        node = sched[t]
+        new = -1
+        cur = sel[node]
+        if node_cyclic[node] and cur >= 0:
+            nh = path_next[cur]
+            if nh < 0 or sel[nh] == path_tail[cur]:
+                new = cur
+                for j in range(dom_ptr[cur], dom_ptr[cur + 1]):
+                    q = dom_path[j]
+                    nq = path_next[q]
+                    if nq < 0 or sel[nq] == path_tail[q]:
+                        new = q
+                        break
+        if new < 0:
+            for k in range(order_ptr[node], order_ptr[node + 1]):
+                p = order_path[k]
+                nh = path_next[p]
+                if nh < 0 or sel[nh] == path_tail[p]:
+                    new = p
+                    break
+        if new != sel[node]:
+            sel[node] = new
+            last_change = t
+            changes[t] = True
+        traj[t, :] = sel
+        steps = t + 1
+        if t - last_change >= 2 * window:
+            return True, steps, changes
+    return False, steps, changes
+
+
 def step(state: ProtocolState, node: str, pspp: PsppInstance) -> ProtocolState:
-    """One activation (reference implementation of the kernel's rule).
+    """One activation (reference implementation of _simulate_run's rule).
 
     A node with an acyclic relation adopts its best available path. A node
     whose pairwise relation is cyclic switches relative to its incumbent:
@@ -219,7 +271,7 @@ def simulate(
     acts = schedule.activations(max_steps)
     sched = np.array([enc.nidx[v] for v in acts], np.int64)
     traj = np.full((max_steps, len(enc.nodes)), -1, np.int32)
-    converged, steps, changes = _kernels.simulate_run(
+    converged, steps, changes = _simulate_run(
         enc.order_ptr, enc.order_path, enc.path_next, enc.path_tail,
         enc.node_cyclic, enc.dom_ptr, enc.dom_path,
         sched, schedule.window, traj, max_steps,

@@ -16,11 +16,18 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import _kernels
 from .bgp_prefs import MandatedPreferences
-from .netmodel import DemandMatrix, LinkKey, NetworkInstance, ParseError, ValidationError, link_key
-from .paths import GraphArrays, WeightError, graph_arrays
+from .netmodel import (
+    DemandMatrix,
+    LinkKey,
+    NetworkInstance,
+    ParseError,
+    ValidationError,
+    WeightError,
+    link_key,
+)
 from .repair import (
+    InfeasibleRepairError,
     RepairConfig,
     RepairSolution,
     build_system,
@@ -30,11 +37,10 @@ from .repair import (
     solve_relaxed,
     verify_solution,
 )
+from .routing import Arc, GraphArrays, route_demands
 
 DEFAULT_BREAKPOINTS = (1 / 3, 2 / 3, 9 / 10, 1.0, 11 / 10)
 DEFAULT_SLOPES = (1.0, 3.0, 10.0, 70.0, 500.0, 5000.0)
-
-Arc = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -116,81 +122,18 @@ class FlowSolution:
     lp_objective: Optional[float] = None
 
 
-def _dag_loads(
-    ga: GraphArrays,
-    warr: np.ndarray,
-    dest_idx: int,
-    demand_vec: np.ndarray,
-    split: Optional[Mapping[str, Mapping[str, float]]],
-) -> dict[Arc, float]:
-    if split is None:
-        loads, stranded = _kernels.ecmp_loads(
-            ga.adj_ptr, ga.adj_node, ga.adj_link, warr,
-            _kernels.dijkstra(ga.adj_ptr, ga.adj_node, ga.adj_link, warr, dest_idx),
-            demand_vec,
-        )
-        if stranded > 1e-12:
-            raise ValidationError("demand between disconnected nodes")
-        out: dict[Arc, float] = {}
-        for k in np.nonzero(loads)[0]:
-            u = _arc_source(ga, int(k))
-            out[(ga.nodes[u], ga.nodes[int(ga.adj_node[k])])] = float(loads[k])
-        return out
-    # custom split fractions: python propagation
-    dist = _kernels.dijkstra(ga.adj_ptr, ga.adj_node, ga.adj_link, warr, dest_idx)
-    order = np.argsort(dist)[::-1]
-    inflow = demand_vec.astype(float).copy()
-    out = {}
-    for u in order:
-        u = int(u)
-        if inflow[u] <= 0:
-            continue
-        if not np.isfinite(dist[u]):
-            raise ValidationError("demand between disconnected nodes")
-        if dist[u] == 0:
-            continue
-        hops = []
-        for k in range(ga.adj_ptr[u], ga.adj_ptr[u + 1]):
-            v = int(ga.adj_node[k])
-            if dist[u] == warr[ga.adj_link[k]] + dist[v]:
-                hops.append(v)
-        fracs = split.get(ga.nodes[u])
-        for v in hops:
-            if fracs is not None and ga.nodes[v] in fracs:
-                f = fracs[ga.nodes[v]]
-            else:
-                f = 1.0 / len(hops)
-            amt = inflow[u] * f
-            arc = (ga.nodes[u], ga.nodes[v])
-            out[arc] = out.get(arc, 0.0) + amt
-            inflow[v] += amt
-    return out
-
-
-def _arc_source(ga: GraphArrays, k: int) -> int:
-    return int(np.searchsorted(ga.adj_ptr, k, side="right") - 1)
-
-
-def _lp_flow_objective(
-    ga: GraphArrays, warr: np.ndarray, dest_idx: int, demand_vec: np.ndarray
-) -> float:
+def _lp_flow_objective(ga: GraphArrays, arc_weight: np.ndarray, dest_idx: int,
+                       demand_vec: np.ndarray) -> float:
     """Min-cost (w^T x) routing LP toward one destination, solved exactly."""
     from scipy.optimize import linprog
 
-    n = len(ga.nodes)
-    arcs = [(u, int(ga.adj_node[k]), int(ga.adj_link[k]))
-            for u in range(n) for k in range(ga.adj_ptr[u], ga.adj_ptr[u + 1])]
-    m = len(arcs)
-    c = np.array([warr[li] for (_, _, li) in arcs])
-    a_eq = np.zeros((n - 1, m))
-    rows = {v: i for i, v in enumerate(x for x in range(n) if x != dest_idx)}
-    for j, (u, v, _) in enumerate(arcs):
-        if u in rows:
-            a_eq[rows[u], j] += 1.0
-        if v in rows:
-            a_eq[rows[v], j] -= 1.0
-    b_eq = np.array([demand_vec[v] for v in range(n) if v != dest_idx])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs")
+    n, m = len(ga.nodes), len(ga.arc_src)
+    keep = np.arange(n) != dest_idx  # one conservation row per other node
+    a_eq = np.zeros((n, m))
+    a_eq[ga.arc_src, np.arange(m)] += 1.0
+    a_eq[ga.arc_dst, np.arange(m)] -= 1.0
+    res = linprog(arc_weight, A_eq=a_eq[keep], b_eq=demand_vec[keep],
+                  bounds=[(0, None)] * m, method="highs")
     if not res.success:
         raise ValidationError("flow LP infeasible (disconnected demand?)")
     return float(res.fun)
@@ -210,24 +153,21 @@ def solve_flow(
     the min w^T x flow LP, which is solved independently when with_lp is set.
     """
     demands.validate(inst)
-    ga = graph_arrays(inst)
-    warr = ga.weight_array(w)
-    if (warr <= 0).any():
-        raise WeightError("flow routing requires strictly positive weights")
+    routing = route_demands(inst, demands, w, split)
+    ga = routing.ga
     per_dest: dict[str, dict[Arc, float]] = {}
     total: dict[Arc, float] = {}
-    lp_total = 0.0 if with_lp else None
-    for d in demands.destinations():
-        vec = np.zeros(len(ga.nodes))
-        for (s, dd), mbps in demands.entries.items():
-            if dd == d:
-                vec[ga.index[s]] += mbps
-        dl = _dag_loads(ga, warr, ga.index[d], vec, split)
+    for d, row in zip(routing.dests, routing.loads):
+        dl = {ga.arcs[k]: float(row[k]) for k in np.nonzero(row)[0]}
         per_dest[d] = dl
         for arc, x in dl.items():
             total[arc] = total.get(arc, 0.0) + x
-        if with_lp:
-            lp_total += _lp_flow_objective(ga, warr, ga.index[d], vec)
+    lp_total = None
+    if with_lp:
+        lp_total = sum(
+            _lp_flow_objective(ga, routing.arc_weight, ga.index[d], vec)
+            for d, vec in zip(routing.dests, routing.demand)
+        )
     wk = {k: float(v) for k, v in w.items() if v is not None}
     objective = sum(wk[link_key(u, v)] * x for (u, v), x in total.items())
     return FlowSolution(total, per_dest, objective, lp_total)
@@ -332,7 +272,7 @@ def solve_joint_unequal(
                              min_weight=max(1, cfg.min_weight)),
             )
             candidates.append((exact.weights, "exact"))
-        except Exception:
+        except InfeasibleRepairError:
             pass  # seeding only; the relaxation path may still succeed
 
     w_rel = solve_relaxed(sys, w_initial, min_weight=1)

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written against a different algorithmic
-route than the package (exhaustive enumeration, scipy.sparse.csgraph) so
-agreement between the two is meaningful evidence, not a tautology.
+route than the package (exhaustive enumeration, a textbook O(n^2) Dijkstra
+run once per destination, scalar loops) so agreement between the two is
+meaningful evidence, not a tautology. The package routes with scipy's
+csgraph Dijkstra over all destinations at once.
 """
 
 from __future__ import annotations
@@ -11,27 +13,153 @@ import itertools
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from igpfix.bgp_prefs import MandatedPreferences
-from igpfix.netmodel import LinkKey, NetworkInstance, link_key
+from igpfix.netmodel import DemandMatrix, LinkKey, NetworkInstance, ValidationError, WeightError, link_key
 from igpfix.paths import path_weight
 from igpfix.repair import FeasibilitySystem, RepairConfig
 
 
-def csgraph_distances(
+def adjacency(inst: NetworkInstance):
+    """CSR adjacency (adj_ptr, adj_node, adj_link) over inst.link_keys()
+    order; arc k runs from the node that owns it to adj_node[k]."""
+    idx = {v: i for i, v in enumerate(inst.nodes)}
+    out: list[list[tuple[int, int]]] = [[] for _ in inst.nodes]
+    for li, (a, b) in enumerate(inst.link_keys()):
+        out[idx[a]].append((idx[b], li))
+        out[idx[b]].append((idx[a], li))
+    adj_ptr = np.cumsum([0] + [len(o) for o in out])
+    adj_node = np.array([v for o in out for v, _ in o], np.int64)
+    adj_link = np.array([li for o in out for _, li in o], np.int64)
+    return adj_ptr, adj_node, adj_link
+
+
+def _weights(inst: NetworkInstance, w: Mapping[LinkKey, int]) -> np.ndarray:
+    return np.array([float(w[k]) for k in inst.link_keys()])
+
+
+def dijkstra_py(adj_ptr, adj_node, adj_link, wlink, dest):
+    """Distances from every node to dest over undirected link weights.
+
+    Textbook O(n^2) selection loop, one destination per call.
+    """
+    n = adj_ptr.shape[0] - 1
+    dist = np.full(n, np.inf)
+    done = np.zeros(n, np.bool_)
+    dist[dest] = 0.0
+    for _ in range(n):
+        u = -1
+        best = np.inf
+        for v in range(n):
+            if not done[v] and dist[v] < best:
+                best = dist[v]
+                u = v
+        if u < 0:
+            break
+        done[u] = True
+        for k in range(adj_ptr[u], adj_ptr[u + 1]):
+            v = adj_node[k]
+            nd = best + wlink[adj_link[k]]
+            if nd < dist[v]:
+                dist[v] = nd
+    return dist
+
+
+def ecmp_loads_py(adj_ptr, adj_node, adj_link, wlink, dist, demand):
+    """Equal-split loads toward one destination.
+
+    Arc k (u -> adj_node[k]) is an ECMP next hop iff
+    dist[u] == wlink + dist[v]. Flow is pushed farthest-first so every node's
+    inflow is complete before it splits. Returns per-arc loads plus the
+    demand volume stranded at unreachable nodes.
+    """
+    n = adj_ptr.shape[0] - 1
+    loads = np.zeros(adj_node.shape[0])
+    inflow = demand.astype(np.float64).copy()
+    order = np.argsort(dist)
+    stranded = 0.0
+    for idx in range(n - 1, -1, -1):
+        u = order[idx]
+        if inflow[u] <= 0.0:
+            continue
+        if not np.isfinite(dist[u]):
+            stranded += inflow[u]
+            continue
+        if dist[u] == 0.0:
+            continue  # destination absorbs
+        cnt = 0
+        for k in range(adj_ptr[u], adj_ptr[u + 1]):
+            if dist[u] == wlink[adj_link[k]] + dist[adj_node[k]]:
+                cnt += 1
+        if cnt == 0:
+            stranded += inflow[u]
+            continue
+        share = inflow[u] / cnt
+        for k in range(adj_ptr[u], adj_ptr[u + 1]):
+            v = adj_node[k]
+            if dist[u] == wlink[adj_link[k]] + dist[v]:
+                loads[k] += share
+                inflow[v] += share
+    return loads, stranded
+
+
+def all_pairs_distances(
     inst: NetworkInstance, w: Mapping[LinkKey, int]
 ) -> dict[str, dict[str, float]]:
-    """All-pairs shortest distances via scipy's csgraph Dijkstra."""
+    """All-pairs shortest distances, one dijkstra_py run per destination."""
+    adj_ptr, adj_node, adj_link = adjacency(inst)
+    wlink = _weights(inst, w)
+    out: dict[str, dict[str, float]] = {u: {} for u in inst.nodes}
+    for j, d in enumerate(inst.nodes):
+        dist = dijkstra_py(adj_ptr, adj_node, adj_link, wlink, j)
+        for i, u in enumerate(inst.nodes):
+            out[u][d] = float(dist[i])
+    return out
+
+
+def _ecmp_loop(inst: NetworkInstance, demands: DemandMatrix, w: Mapping[LinkKey, int]):
+    """Directed arcs in CSR order, and per destination the arc loads of one
+    dijkstra_py plus ecmp_loads_py run."""
+    adj_ptr, adj_node, adj_link = adjacency(inst)
+    wlink = _weights(inst, w)
+    if (wlink <= 0).any():
+        raise WeightError("equal-split routing requires strictly positive weights")
     idx = {v: i for i, v in enumerate(inst.nodes)}
-    n = len(inst.nodes)
-    mat = np.zeros((n, n))
-    for k in inst.link_keys():
-        a, b = idx[k[0]], idx[k[1]]
-        mat[a, b] = mat[b, a] = w[k]
-    dist = csgraph_dijkstra(csr_matrix(mat), directed=False)
-    return {u: {v: float(dist[idx[u], idx[v]]) for v in inst.nodes} for u in inst.nodes}
+    src = np.repeat(np.arange(len(inst.nodes)), np.diff(adj_ptr))
+    arcs = [(inst.nodes[s], inst.nodes[t]) for s, t in zip(src, adj_node)]
+    rows: dict[str, np.ndarray] = {}
+    for d in demands.destinations():
+        vec = np.zeros(len(inst.nodes))
+        for (s, dd), mbps in demands.entries.items():
+            if dd == d:
+                vec[idx[s]] += mbps
+        dist = dijkstra_py(adj_ptr, adj_node, adj_link, wlink, idx[d])
+        loads, stranded = ecmp_loads_py(adj_ptr, adj_node, adj_link, wlink, dist, vec)
+        if stranded > 1e-12:
+            raise ValidationError("demand between disconnected nodes")
+        rows[d] = loads
+    return arcs, rows
+
+
+def ecmp_arc_loads(
+    inst: NetworkInstance, demands: DemandMatrix, w: Mapping[LinkKey, int]
+) -> dict[str, dict[tuple[str, str], float]]:
+    """Equal-split loads per destination and directed arc (nonzero only)."""
+    arcs, rows = _ecmp_loop(inst, demands, w)
+    return {d: {arcs[k]: float(row[k]) for k in np.nonzero(row)[0]} for d, row in rows.items()}
+
+
+def ecmp_cost_py(inst, demands, w, model) -> float:
+    """Equal-split TE cost: loads summed per arc in destination order, then
+    the penalty summed in arc order."""
+    arcs, rows = _ecmp_loop(inst, demands, w)
+    agg = np.zeros(len(arcs))
+    for row in rows.values():
+        agg += row
+    return float(sum(
+        model.phi(float(agg[k]), model.capacities[link_key(*arcs[k])])
+        for k in np.nonzero(agg)[0]
+    ))
 
 
 def mandates_feasible(
@@ -80,11 +208,11 @@ def enum_equal_split_loads(
 ) -> dict[tuple[str, str], float]:
     """Equal-split loads toward dest computed from first principles.
 
-    Distances come from scipy csgraph; flow is pushed node by node in order
-    of decreasing distance, splitting each node's accumulated inflow evenly
-    over its distance-decreasing neighbors.
+    Distances come from all_pairs_distances; flow is pushed node by node in
+    order of decreasing distance, splitting each node's accumulated inflow
+    evenly over its distance-decreasing neighbors.
     """
-    all_dist = csgraph_distances(inst, w)
+    all_dist = all_pairs_distances(inst, w)
     dist = {v: all_dist[v][dest] for v in inst.nodes}
     inflow = {v: float(demand.get(v, 0.0)) for v in inst.nodes}
     loads: dict[tuple[str, str], float] = {}

@@ -39,8 +39,8 @@ from igpfix.sim import Oscillating, fair_schedule, simulate, weights_to_pspp
 from igpfix.te import JointConfig, cost_model_for, solve_flow, solve_joint_unequal
 
 from oracles import (
+    all_pairs_distances,
     brute_force_min_change,
-    csgraph_distances,
     enum_ecmp_cost,
     random_small_instance,
 )
@@ -514,7 +514,7 @@ def test_criterion_12_flow_objective_matches_distances():
         inst = random_small_instance(seed)
         w = assign_random_weights(inst, seed=seed, low=1, high=inst.w_max)
         dm = random_demands(inst, pairs=6, seed=seed)
-        dist = csgraph_distances(inst, w)
+        dist = all_pairs_distances(inst, w)
         want = sum(x * dist[s][d] for (s, d), x in dm.entries.items())
         flow = solve_flow(inst, dm, w, with_lp=True)
         if want:

@@ -18,7 +18,7 @@ from igpfix.netmodel import (
     random_demands,
 )
 from igpfix.paths import WeightError
-from igpfix.repair import RepairConfig, verify_solution
+from igpfix.repair import RepairConfig, VerificationRecord, verify_solution
 from igpfix.scenarios import two_prefix_med
 from igpfix.te import JointConfig, cost_model_for
 
@@ -136,3 +136,16 @@ def test_generate_starts_admits_extra():
                              RepairConfig(min_weight=1), JointConfig(gamma=10.0),
                              extra=[extra])
     assert any(s == extra for s in starts)
+
+
+def test_search_raises_when_incumbent_fails_verification(monkeypatch):
+    import igpfix.local_search as ls
+
+    inst, dm, prefs = _setup()
+    start = {k: 8 for k in inst.link_keys()}
+    start[("B", "R")] = 1
+    monkeypatch.setattr(
+        ls, "verify_solution", lambda *a, **k: VerificationRecord(False, (), False)
+    )
+    with pytest.raises(RuntimeError, match="drifted infeasible"):
+        search(inst, dm, prefs, start, SearchConfig(gamma=0.0, max_iters=1, seed=0))

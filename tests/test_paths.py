@@ -16,7 +16,7 @@ from igpfix.paths import (
     suffixes,
 )
 
-from oracles import csgraph_distances
+from oracles import all_pairs_distances
 
 
 def _square():
@@ -48,11 +48,11 @@ def test_path_weight_and_unknown():
         path_weight(("a", "c"), w)
 
 
-def test_dijkstra_matches_csgraph():
+def test_dijkstra_matches_oracle():
     inst = _square()
     w = {("a", "b"): 1, ("b", "d"): 4, ("a", "c"): 2, ("c", "d"): 1}
     got = dijkstra_distances(inst, "d", w)
-    want = csgraph_distances(inst, w)
+    want = all_pairs_distances(inst, w)
     assert got == {v: want[v]["d"] for v in inst.nodes}
 
 

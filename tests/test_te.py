@@ -21,7 +21,7 @@ from igpfix.te import (
     te_cost,
 )
 
-from oracles import csgraph_distances
+from oracles import all_pairs_distances
 
 
 def _square():
@@ -89,7 +89,7 @@ def test_solve_flow_objective_matches_distance_and_lp():
     w = {("a", "b"): 1, ("b", "d"): 4, ("a", "c"): 2, ("c", "d"): 1}
     dm = DemandMatrix({("a", "d"): 5.0, ("b", "d"): 2.0})
     flow = solve_flow(inst, dm, w, with_lp=True)
-    dist = csgraph_distances(inst, w)
+    dist = all_pairs_distances(inst, w)
     want = 5.0 * dist["a"]["d"] + 2.0 * dist["b"]["d"]
     assert flow.objective == pytest.approx(want, rel=1e-12)
     assert flow.lp_objective == pytest.approx(want, rel=1e-9)
@@ -182,3 +182,16 @@ def test_joint_exclude_forces_alternative():
                                  exclude=(first.weights,))
     assert second.weights != first.weights
     assert second.realized.ok
+
+
+def test_joint_exact_seed_propagates_unrelated_errors(monkeypatch):
+    import igpfix.te as te
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("not an infeasibility")
+
+    monkeypatch.setattr(te, "solve_min_change", broken)
+    inst, dm, prefs = _joint_setup()
+    with pytest.raises(ZeroDivisionError):
+        solve_joint_unequal(inst, dm, prefs, inst.initial_weights(),
+                            RepairConfig(min_weight=1), JointConfig(gamma=10.0, exact_budget=1.0))
