@@ -174,6 +174,9 @@ def cmd_repair(args: argparse.Namespace) -> int:
             "starts": len(starts),
             "iterations": sol.iterations,
             "early_terminated": sol.early_terminated,
+            "stop_reason": sol.stop_reason,
+            "neighbours_scored": sol.neighbours_scored,
+            "destinations_recomputed": sol.destinations_recomputed,
         }
         if sol.te_cost_before:
             report.te_cost_normalized = sol.te_cost_after / sol.te_cost_before

@@ -23,7 +23,7 @@ from .bgp_prefs import MandatedPreferences
 from .netmodel import DemandMatrix, LinkKey, NetworkInstance, ValidationError
 from .paths import path_weight
 from .repair import RepairConfig, RepairSolution, VerificationRecord, changed_links_of, verify_solution
-from .routing import route_demands
+from .routing import GraphArrays, route_demands, route_moves, total_load
 from .te import JointConfig, TECostModel, cost_model_for, solve_joint_unequal
 
 
@@ -38,17 +38,16 @@ def ecmp_cost(
     if model is None:
         model = cost_model_for(inst)
     routing = route_demands(inst, demands, w)
-    ga = routing.ga
-    caps = np.array([model.capacities[k] for k in ga.links])
-    # the penalty applies to each directed arc's total load across
-    # destinations, summed in destination order
-    agg = np.zeros(len(ga.arcs))
-    for row in routing.loads:
-        agg += row
-    return float(sum(
-        model.phi(float(agg[k]), float(caps[ga.arc_link[k]]))
-        for k in np.nonzero(agg)[0]
-    ))
+    return _te_costs(model, routing.ga, total_load(routing.loads)[None])[0]
+
+
+def _te_costs(model: TECostModel, ga: GraphArrays, totals: np.ndarray) -> list[float]:
+    """Penalty of each row of directed arc loads (summed across
+    destinations in destination order), added up over the loaded arcs in
+    arc order."""
+    caps = np.array([model.capacities[k] for k in ga.links])[ga.arc_link]
+    penalty = model.phi_array(totals, caps)
+    return [float(sum(p[t != 0].tolist())) for p, t in zip(penalty, totals)]
 
 
 @dataclass
@@ -85,6 +84,17 @@ def _mandates_hold(prefs: MandatedPreferences, weights: Mapping[LinkKey, int]) -
     return True
 
 
+def _baseline_cost(
+    inst: NetworkInstance,
+    demands: DemandMatrix,
+    w_initial: Mapping[LinkKey, Optional[int]],
+    model: TECostModel,
+) -> float:
+    """ECMP cost of the initial weights, unknown weights read as 1."""
+    base_w = {k: (v if v is not None else 1) for k, v in w_initial.items()}
+    return ecmp_cost(inst, demands, base_w, model)
+
+
 def search(
     inst: NetworkInstance,
     demands: DemandMatrix,
@@ -102,7 +112,10 @@ def search(
     The incumbent always satisfies the mandated preferences and its cost is
     nonincreasing. Terminates early once cost <= baseline * (1 + gamma/100).
     The neighborhood sampling fraction adapts: halves on improvement, doubles
-    after a few stagnant rounds.
+    after a few stagnant rounds. Each iteration filters its sample (visited,
+    mandates), then scores the feasible moves together from the incumbent's
+    cached routing (routing.route_moves), bit-identically to ecmp_cost; the
+    first strictly cheapest move in sample order wins.
     """
     if model is None:
         model = cost_model_for(inst)
@@ -111,8 +124,7 @@ def search(
     if not _mandates_hold(prefs, start):
         raise ValidationError("local search start violates a mandated preference")
     if baseline_cost is None:
-        base_w = {k: (v if v is not None else 1) for k, v in w_initial.items()}
-        baseline_cost = ecmp_cost(inst, demands, base_w, model)
+        baseline_cost = _baseline_cost(inst, demands, w_initial, model)
     threshold = baseline_cost * (1 + cfg.gamma / 100.0)
 
     rng = random.Random(cfg.seed)
@@ -122,18 +134,22 @@ def search(
     visited[tuple(sorted(cur.items()))] = None
 
     links = sorted(cur)
+    incumbent = route_demands(inst, demands, cur)
+    column = {k: i for i, k in enumerate(incumbent.ga.links)}
     moves = [(k, v) for k in links for v in range(1, inst.w_max + 1)]
     frac = cfg.frac_start
     stagnant = 0
+    scored = recomputed = 0
     early = cur_cost <= threshold
+    stop_reason = "threshold" if early else "max_iters"
     it = 0
     while not early and it < cfg.max_iters:
         if stop is not None and stop.is_set():
+            stop_reason = "stopped"
             break
         it += 1
         sample = rng.sample(moves, max(1, int(frac * len(moves))))
-        best_move = None
-        feas_neighbors = 0
+        feasible = []
         for k, v in sample:
             if cur[k] == v:
                 continue
@@ -145,14 +161,21 @@ def search(
             visited[key] = None
             while len(visited) > cfg.visited_cap:
                 visited.popitem(last=False)
-            if not _mandates_hold(prefs, cand):
-                continue
-            feas_neighbors += 1
-            c = ecmp_cost(inst, demands, cand, model)
+            if _mandates_hold(prefs, cand):
+                feasible.append((k, v))
+        totals, rerouted = route_moves(
+            incumbent, [column[k] for k, _ in feasible], [v for _, v in feasible]
+        )
+        scored += len(feasible)
+        recomputed += int(rerouted.sum())
+        best_move = None
+        for (k, v), c in zip(feasible, _te_costs(model, incumbent.ga, totals)):
             if c < cur_cost and (best_move is None or c < best_move[0]):
-                best_move = (c, cand)
+                best_move = (c, k, v)
         if best_move is not None:
-            cur_cost, cur = best_move
+            cur_cost, k, v = best_move
+            cur = {**cur, k: v}
+            incumbent = route_demands(inst, demands, cur)
             frac = max(cfg.frac_min, frac / 2)
             stagnant = 0
             action = "improve"
@@ -166,11 +189,12 @@ def search(
                 action = "stagnate"
         if cur_cost <= threshold:
             early = True
-            action = "threshold"
+            stop_reason = action = "threshold"
         if progress is not None:
             progress(json.dumps({
                 "iter": it, "cost": cur_cost,
-                "feasible_neighbors": feas_neighbors, "action": action,
+                "feasible_neighbors": len(feasible), "action": action,
+                "neighbours_scored": scored, "destinations_recomputed": recomputed,
             }))
 
     record = verify_solution(inst, prefs, cur)
@@ -188,6 +212,9 @@ def search(
         te_cost_after=cur_cost,
         early_terminated=early,
         iterations=it,
+        neighbours_scored=scored,
+        destinations_recomputed=recomputed,
+        stop_reason=stop_reason,
     )
 
 
@@ -207,12 +234,19 @@ def parallel_search(
 
     first-wins: the first search to reach the gamma threshold wins and the
     rest are cancelled cooperatively. best-of: all searches complete and the
-    minimum-cost result is returned (deterministic given the seeds).
+    minimum-cost result is returned (deterministic given the seeds). The
+    baseline cost is computed once and shared by every search.
     """
     if mode not in ("best-of", "first-wins"):
         raise ValidationError(f"unknown mode {mode!r}")
     if not starts:
         raise ValidationError("parallel_search needs at least one start")
+    if model is None:
+        model = cost_model_for(inst)
+    if w_initial is None:
+        w_initial = inst.initial_weights()
+    if baseline_cost is None:
+        baseline_cost = _baseline_cost(inst, demands, w_initial, model)
     stop = threading.Event() if mode == "first-wins" else None
     threads = threads or len(starts)
 

@@ -179,6 +179,11 @@ class RepairSolution:
     te_cost_after: Optional[float] = None
     early_terminated: bool = False  # local search hit the gamma threshold
     iterations: int = 0
+    # local search work: moves scored, destination rows recomputed for them,
+    # and why it stopped ("threshold", "max_iters" or "stopped")
+    neighbours_scored: int = 0
+    destinations_recomputed: int = 0
+    stop_reason: Optional[str] = None
 
 
 def changed_links_of(
@@ -436,10 +441,20 @@ def solve_relaxed(
     mu: float = 0.0,
     margin: int = 1,
     min_weight: int = 0,
+    raise_infeasible: bool = False,
 ) -> Optional[dict[LinkKey, float]]:
     """LP relaxation: minimize L1 weight change (plus an optional linear
     push term) over the relaxed feasibility polytope. Returns fractional
-    weights for the constrained links, or None if infeasible."""
+    weights for the constrained links, or None if the LP has no solution.
+
+    With raise_infeasible, an LP that HiGHS proves infeasible (linprog
+    status 2) raises InfeasibleRepairError instead; any other failure still
+    returns None. For margin 1 the polytope holds every assignment
+    solve_min_change accepts with min_weight at least this one and w_max at
+    most sys.w_max (link weights in [min_weight, w_max], tied links >= 1,
+    path potentials in [0, lambda_bound], preference gaps in [1, w_max]),
+    so the proof covers that solver too.
+    """
     from scipy.optimize import linprog
 
     links = sys.links
@@ -519,6 +534,11 @@ def solve_relaxed(
         bounds=bounds,
         method="highs",
     )
+    if res.status == 2 and raise_infeasible:
+        raise InfeasibleRepairError(
+            "LP relaxation of the mandated preferences is infeasible",
+            [f"pref {r.prefix}:{r.pref}<{r.worse}" for r in sys.pref_rows],
+        )
     if not res.success:
         return None
     return {k: float(res.x[li[k]]) for k in links}

@@ -75,6 +75,21 @@ class TECostModel:
             prev = edge
         return cost + self.slopes[-1] * (load - prev)
 
+    def phi_array(self, loads: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+        """phi of each load against the capacity broadcast with it, with
+        the same operations in the same order, so bit-identical to phi."""
+        out = np.zeros(np.broadcast_shapes(np.shape(loads), np.shape(capacities)))
+        done = loads <= 0
+        cost = prev = np.zeros(np.shape(capacities))
+        for bp, slope in zip(self.breakpoints, self.slopes):
+            edge = bp * capacities
+            here = ~done & (loads <= edge)
+            out = np.where(here, cost + slope * (loads - prev), out)
+            done = done | here
+            cost = cost + slope * (edge - prev)
+            prev = edge
+        return np.where(done, out, cost + self.slopes[-1] * (loads - prev))
+
     def phi_slope(self, load: float, capacity: float) -> float:
         """Marginal cost at the given load."""
         u = load / capacity if capacity > 0 else math.inf
@@ -250,8 +265,9 @@ def solve_joint_unequal(
     relaxed feasibility polytope with a linear push away from expensive
     links; rounds, re-verifies the mandates, and keeps the best candidate by
     joint objective. Falls back to the exact integer solve when rounding
-    cannot be made feasible. Candidates listed in exclude are rejected
-    (used for alternative-start generation).
+    cannot be made feasible, and raises InfeasibleRepairError at once when
+    the relaxation proves that solve infeasible. Candidates listed in
+    exclude are rejected (used for alternative-start generation).
     """
     sys = build_system(inst, prefs)
     eps, big_m, w_max = cfg.resolved(sys, max(len(w_initial), 1))
@@ -275,7 +291,11 @@ def solve_joint_unequal(
         except InfeasibleRepairError:
             pass  # seeding only; the relaxation path may still succeed
 
-    w_rel = solve_relaxed(sys, w_initial, min_weight=1)
+    # without a candidate the fallback below is solve_min_change, whose
+    # integer points this relaxation contains when its w_max is at most
+    # sys.w_max: an infeasible LP then ends the repair at once
+    proves = not candidates and (cfg.w_max is None or cfg.w_max <= sys.w_max)
+    w_rel = solve_relaxed(sys, w_initial, min_weight=1, raise_infeasible=proves)
     if w_rel is not None:
         rounded = round_to_feasible(sys, w_rel, w_initial, min_weight=1)
         if rounded is not None and verify_solution(inst, prefs, rounded).ok:

@@ -269,3 +269,50 @@ def random_small_instance(seed: int, n_lo: int = 4, n_hi: int = 8, w_max: int = 
     return NetworkInstance(
         tuple(names), tuple(Link(a, b, None, cap) for a, b in sorted(links)), w_max
     )
+
+
+def search_py(inst, demands, prefs, start, cfg, model, baseline_cost):
+    """Reference loop for local_search.search: the same sampling, visited
+    set and acceptance rule, with every neighbour scored one at a time by
+    ecmp_cost_py. Returns the incumbent weights and cost after each
+    iteration, starting with the start itself."""
+    import random as _random
+    from collections import OrderedDict
+
+    def holds(w):
+        return all(path_weight(p, w) < path_weight(q, w) for _, (p, q) in prefs.all_pairs())
+
+    threshold = baseline_cost * (1 + cfg.gamma / 100.0)
+    rng = _random.Random(cfg.seed)
+    cur = dict(start)
+    cur_cost = ecmp_cost_py(inst, demands, cur, model)
+    trail = [(dict(cur), cur_cost)]
+    visited = OrderedDict({tuple(sorted(cur.items())): None})
+    moves = [(k, v) for k in sorted(cur) for v in range(1, inst.w_max + 1)]
+    frac, stagnant = cfg.frac_start, 0
+    while cur_cost > threshold and len(trail) <= cfg.max_iters:
+        best = None
+        for k, v in rng.sample(moves, max(1, int(frac * len(moves)))):
+            if cur[k] == v:
+                continue
+            cand = {**cur, k: v}
+            key = tuple(sorted(cand.items()))
+            if key in visited:
+                continue
+            visited[key] = None
+            while len(visited) > cfg.visited_cap:
+                visited.popitem(last=False)
+            if not holds(cand):
+                continue
+            c = ecmp_cost_py(inst, demands, cand, model)
+            if c < cur_cost and (best is None or c < best[0]):
+                best = (c, cand)
+        if best is not None:
+            cur_cost, cur = best
+            frac, stagnant = max(cfg.frac_min, frac / 2), 0
+        else:
+            stagnant += 1
+            if stagnant >= cfg.stagnation:
+                frac, stagnant = min(cfg.frac_max, frac * 2), 0
+        trail.append((dict(cur), cur_cost))
+    return trail

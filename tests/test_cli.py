@@ -102,6 +102,10 @@ def test_repair_equal_mode_deterministic(tmp_path, capsys):
     d2 = json.loads(capsys.readouterr().out)
     d1.pop("timings"), d2.pop("timings")  # wall-clock noise is the only variance
     assert d1 == d2
+    # the start already meets the tolerance: the search scores nothing
+    search = d1["stages"]["search"]
+    assert (search["stop_reason"], search["neighbours_scored"],
+            search["destinations_recomputed"]) == ("threshold", 0, 0)
 
 
 def test_repair_infeasible_exit_three(tmp_path, capsys):

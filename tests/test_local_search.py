@@ -1,6 +1,9 @@
 import pytest
 
-from igpfix.bgp_prefs import derive_med_preferences
+import json
+import threading
+
+from igpfix.bgp_prefs import MandatedPreferences, derive_med_preferences
 from igpfix.local_search import (
     SearchConfig,
     _mandates_hold,
@@ -22,7 +25,7 @@ from igpfix.repair import RepairConfig, VerificationRecord, verify_solution
 from igpfix.scenarios import two_prefix_med
 from igpfix.te import JointConfig, cost_model_for
 
-from oracles import enum_equal_split_loads
+from oracles import enum_equal_split_loads, random_small_instance, search_py
 
 
 def _square():
@@ -84,7 +87,7 @@ def test_search_monotone_and_feasible():
     costs = []
     sol = search(
         inst, dm, prefs, start, SearchConfig(gamma=0.0, max_iters=10, seed=0),
-        progress=lambda line: costs.append(__import__("json").loads(line)["cost"]),
+        progress=lambda line: costs.append(json.loads(line)["cost"]),
     )
     assert verify_solution(inst, prefs, sol.weights).ok
     assert all(c2 <= c1 + 1e-9 for c1, c2 in zip(costs, costs[1:]))
@@ -149,3 +152,87 @@ def test_search_raises_when_incumbent_fails_verification(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="drifted infeasible"):
         search(inst, dm, prefs, start, SearchConfig(gamma=0.0, max_iters=1, seed=0))
+
+
+def _oracle_cases():
+    """Census instances, whose mandates filter moves, and tie-heavy random
+    graphs with no mandates, whose demand is scaled up into the steep part
+    of the cost curve, where moves differ in cost."""
+    for seed in (1001, 1002):
+        inst, dm, prefs = _setup(seed)
+        start = {k: 8 for k in inst.link_keys()}
+        start[("B", "R")] = 1
+        yield inst, dm, prefs, start, seed
+    for seed in range(8):
+        inst = random_small_instance(seed, n_lo=8, n_hi=10, w_max=4)
+        start = assign_random_weights(inst, seed=seed, low=1, high=4)
+        dm = random_demands(inst, pairs=12, seed=seed)
+        dm = DemandMatrix({k: 4 * v for k, v in dm.entries.items()})
+        yield inst, dm, MandatedPreferences({}, {}), start, seed
+
+
+def test_search_follows_per_move_oracle():
+    """search's incumbent and cost after every iteration, and its iteration
+    count, equal those of a loop that scores each neighbour from scratch
+    with the pure-Python oracle. search is deterministic per seed, so
+    max_iters=i gives its incumbent after i iterations."""
+    improved = 0
+    for inst, dm, prefs, start, seed in _oracle_cases():
+        model = cost_model_for(inst)
+        base = 0.0  # out of reach: every iteration runs
+        cfg = SearchConfig(gamma=0.0, max_iters=8, frac_start=0.3, stagnation=2, seed=seed)
+        trail = search_py(inst, dm, prefs, start, cfg, model, base)
+        lines = []
+        sol = search(inst, dm, prefs, start, cfg, w_initial=start, baseline_cost=base,
+                     model=model, progress=lambda line: lines.append(json.loads(line)))
+        assert sol.iterations == len(trail) - 1 == cfg.max_iters
+        assert [ln["cost"] for ln in lines] == [c for _, c in trail[1:]]
+        assert (sol.weights, sol.objective) == trail[-1]
+        for i in range(1, cfg.max_iters):
+            cut = SearchConfig(gamma=0.0, max_iters=i, frac_start=0.3, stagnation=2, seed=seed)
+            part = search(inst, dm, prefs, start, cut, w_initial=start, baseline_cost=base,
+                          model=model)
+            assert (part.weights, part.objective) == trail[i], (seed, i)
+        improved += sum(ln["action"] == "improve" for ln in lines)
+    assert improved >= 15
+
+
+def test_search_reports_work_and_stop_reason():
+    inst, dm, prefs = _setup()
+    start = {k: 8 for k in inst.link_keys()}
+    start[("B", "R")] = 1
+    lines = []
+    sol = search(inst, dm, prefs, start, SearchConfig(gamma=0.0, max_iters=5, seed=0),
+                 baseline_cost=0.0, progress=lambda line: lines.append(json.loads(line)))
+    assert sol.stop_reason == "max_iters" and sol.iterations == 5
+    assert sol.neighbours_scored == sum(ln["feasible_neighbors"] for ln in lines) > 0
+    dests = len(dm.destinations())
+    assert 0 < sol.destinations_recomputed <= sol.neighbours_scored * dests
+    assert (lines[-1]["neighbours_scored"], lines[-1]["destinations_recomputed"]) == (
+        sol.neighbours_scored, sol.destinations_recomputed)
+
+    done = search(inst, dm, prefs, start, SearchConfig(gamma=1e6, seed=0))
+    assert (done.stop_reason, done.neighbours_scored, done.destinations_recomputed) == (
+        "threshold", 0, 0)
+    stop = threading.Event()
+    stop.set()
+    halted = search(inst, dm, prefs, start, SearchConfig(gamma=0.0, seed=0), baseline_cost=0.0,
+                    stop=stop)
+    assert (halted.stop_reason, halted.iterations) == ("stopped", 0)
+
+
+def test_parallel_search_computes_the_baseline_once(monkeypatch):
+    import igpfix.local_search as ls
+
+    inst, dm, prefs = _setup()
+    s1 = {k: 8 for k in inst.link_keys()}
+    s1[("B", "R")] = 1
+    s2 = {**s1, ("C", "S"): 3}
+    cfg = SearchConfig(gamma=0.0, max_iters=3, seed=0)
+    alone = search(inst, dm, prefs, s1, cfg)
+    seen = []
+    real = ls.search
+    monkeypatch.setattr(ls, "search", lambda *a, **k: seen.append(k["baseline_cost"]) or real(*a, **k))
+    best = parallel_search(inst, dm, prefs, [s1, s2], cfg, mode="best-of")
+    assert seen == [alone.te_cost_before] * 2
+    assert best.te_cost_before == alone.te_cost_before

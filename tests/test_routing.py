@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from igpfix.local_search import ecmp_cost
+from igpfix import routing as routing_mod
+from igpfix.local_search import _te_costs, ecmp_cost
 from igpfix.netmodel import (
     DemandMatrix,
     Link,
@@ -11,7 +12,7 @@ from igpfix.netmodel import (
     assign_random_weights,
     random_demands,
 )
-from igpfix.routing import route_demands, shortest_paths
+from igpfix.routing import route_demands, route_moves, shortest_paths
 from igpfix.te import cost_model_for, solve_flow
 
 from oracles import all_pairs_distances, ecmp_arc_loads, ecmp_cost_py, random_small_instance
@@ -79,3 +80,44 @@ def test_zero_weight_raises():
     w[inst.link_keys()[0]] = -1
     with pytest.raises(WeightError):
         route_demands(inst, dm, w)
+
+
+def test_move_scores_match_loop_oracle_exactly(monkeypatch):
+    """The TE cost of every single-weight move, scored from an incumbent by
+    route_moves, equals a from-scratch run of the per-destination loop bit
+    for bit. Weights in 1..2-4 make ties common, so raising a link often
+    takes it off some shortest paths and lowering one often ties it with
+    another path. 1 to 8 demands leave some moves rerouting nothing. The
+    batch budget cycles so that moves are scored one per batch, a few per
+    batch, and all in one batch."""
+    batches = []
+    real_batch = routing_mod._batch_totals
+
+    def counted(base, links, weights, rerouted):
+        batches.append(len(links))
+        return real_batch(base, links, weights, rerouted)
+
+    monkeypatch.setattr(routing_mod, "_batch_totals", counted)
+    up_tight = down_tie = untouched = scored = 0
+    for seed in range(300):
+        monkeypatch.setattr(routing_mod, "BATCH_CELLS", (1, 300, 1 << 16)[seed % 3])
+        w_max = 2 + seed % 3
+        inst = random_small_instance(seed, n_hi=10, w_max=w_max)
+        w = assign_random_weights(inst, seed=seed, low=1, high=w_max)
+        dm = random_demands(inst, pairs=1 + seed % 8, seed=seed)
+        model = cost_model_for(inst)
+        base = route_demands(inst, dm, w)
+        ga = base.ga
+        moves = [(i, v) for i, k in enumerate(ga.links) for v in range(1, w_max + 1) if v != w[k]]
+        totals, rerouted = route_moves(base, [i for i, _ in moves], [v for _, v in moves])
+        costs = _te_costs(model, ga, totals)
+        for (i, v), cost, r in zip(moves, costs, rerouted):
+            k = ga.links[i]
+            assert cost == ecmp_cost_py(inst, dm, {**w, k: v}, model), (seed, k, v)
+            scored += 1
+            untouched += r == 0
+            up_tight += v > w[k] and r > 0
+            da, db = base.dist[:, ga.index[k[0]]], base.dist[:, ga.index[k[1]]]
+            down_tie += v < w[k] and bool(((v + db == da) | (v + da == db)).any())
+    assert min(up_tight, down_tie, untouched) >= 100, (up_tight, down_tie, untouched, scored)
+    assert sum(n > 1 for n in batches) >= 100 and batches.count(1) >= 100

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from igpfix.bgp_prefs import derive_med_preferences
@@ -6,10 +7,20 @@ from igpfix.netmodel import (
     Link,
     NetworkInstance,
     ValidationError,
+    WaxmanParams,
     assign_random_weights,
+    generate_waxman,
+    random_demands,
 )
 from igpfix.paths import WeightError
-from igpfix.repair import RepairConfig, build_system, solve_min_change
+from igpfix.repair import (
+    InfeasibleRepairError,
+    RepairConfig,
+    build_system,
+    solve_min_change,
+    solve_relaxed,
+)
+from igpfix.scenarios import inject_med_conflicts
 from igpfix.te import (
     JointConfig,
     TECostModel,
@@ -195,3 +206,61 @@ def test_joint_exact_seed_propagates_unrelated_errors(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         solve_joint_unequal(inst, dm, prefs, inst.initial_weights(),
                             RepairConfig(min_weight=1), JointConfig(gamma=10.0, exact_budget=1.0))
+
+
+def test_phi_array_is_bit_identical_to_phi():
+    model = TECostModel({})
+    caps = np.array([1.0, 3.0, 100.0, 7777.0])
+    edges = [bp * c for bp in model.breakpoints for c in caps]
+    rng = np.random.default_rng(0)
+    loads = np.concatenate([[0.0, -1.0], edges, np.nextafter(edges, np.inf),
+                            rng.uniform(0, 2 * caps.max(), 400)])
+    got = model.phi_array(loads[:, None], caps)
+    want = [[model.phi(float(x), float(c)) for c in caps] for x in loads]
+    assert got.tolist() == want
+
+
+def _found_instance():
+    """Waxman n=30, 4 injected MED conflicts: infeasible mandates that the
+    branch-and-bound cannot refute within its budget."""
+    base = generate_waxman(WaxmanParams(n=30, seed=0), w_max=100)
+    w0 = assign_random_weights(base, seed=0)
+    inst = base.with_weights(w0)
+    prefs = derive_med_preferences(inst, inject_med_conflicts(inst, 4, seed=0))
+    return inst, random_demands(inst, pairs=60, seed=0), prefs, w0
+
+
+def test_joint_stops_at_once_when_the_relaxation_is_infeasible(monkeypatch):
+    import igpfix.te as te
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_min_change called on LP-infeasible mandates")
+
+    inst, dm, prefs, w0 = _found_instance()
+    sys_ = build_system(inst, prefs)
+    assert solve_relaxed(sys_, w0, min_weight=1) is None
+    with pytest.raises(InfeasibleRepairError, match="budget"):
+        solve_min_change(sys_, w0, RepairConfig(min_weight=1, time_budget=0.5))
+    monkeypatch.setattr(te, "solve_min_change", forbidden)
+    with pytest.raises(InfeasibleRepairError, match="LP relaxation"):
+        solve_joint_unequal(inst, dm, prefs, w0, RepairConfig(min_weight=1),
+                            JointConfig(exact_budget=0.0))
+
+
+def test_joint_keeps_the_fallback_when_its_w_max_exceeds_the_lp(monkeypatch):
+    """A fallback allowed weights above sys.w_max has integer points the LP
+    lacks, so an infeasible LP proves nothing and the fallback runs."""
+    import igpfix.te as te
+
+    inst, dm, prefs, w0 = _found_instance()
+    calls = []
+
+    def fallback(*args, **kwargs):
+        calls.append(args)
+        raise InfeasibleRepairError("fallback ran")
+
+    monkeypatch.setattr(te, "solve_min_change", fallback)
+    with pytest.raises(InfeasibleRepairError, match="fallback ran"):
+        solve_joint_unequal(inst, dm, prefs, w0, RepairConfig(min_weight=1, w_max=200),
+                            JointConfig(exact_budget=0.0))
+    assert len(calls) == 1
