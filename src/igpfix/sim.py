@@ -4,18 +4,18 @@ Each activation lets one node re-select its most-preferred permitted path
 whose immediate suffix is currently selected by the next-hop node (the empty
 path is always available at its own node). The simulator is the empirical
 oscillation oracle: a safe instance must converge under every fair schedule,
-and an observed recurrence of a global state with an intervening change is a
-proof of oscillation.
+and a recurrence of a global state whose repeated segment is fair and holds
+a change is a proof of oscillation.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
-
-import numpy as np
+from itertools import cycle, islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .bgp_prefs import MandatedPreferences
 from .netmodel import LinkKey, NetworkInstance, ValidationError
@@ -35,10 +35,14 @@ class ProtocolState:
 class Schedule:
     """Node-activation sequence with a fairness window.
 
-    Seeded schedules concatenate independent random permutations of the node
-    set, so every node activates at least once per window (= |nodes|) steps.
-    An explicit sequence overrides the generator; fairness is then the
-    caller's responsibility.
+    Seeded schedules concatenate random permutations of the node set, drawn
+    by successive shuffles of one `random.Random(seed)`, so every node
+    activates at least once per window (= |nodes|) steps. An explicit
+    sequence overrides the generator and is cycled. Either way the sequence
+    is drawn lazily and is fully determined by the schedule, so a run can be
+    replayed. An explicit sequence need not be fair: `simulate` reports an
+    oscillation only when the repeated segment is fair, but its convergence
+    test still trusts that every node activates once per window.
     """
 
     nodes: tuple[str, ...]
@@ -46,17 +50,20 @@ class Schedule:
     seed: int = 0
     explicit: Optional[tuple[str, ...]] = None
 
-    def activations(self, max_steps: int) -> list[str]:
+    def stream(self) -> Iterator[str]:
+        """The endless activation sequence."""
         if self.explicit is not None:
-            reps = -(-max_steps // len(self.explicit))
-            return (list(self.explicit) * reps)[:max_steps]
-        rng = random.Random(self.seed)
-        out: list[str] = []
-        block = list(self.nodes)
-        while len(out) < max_steps:
-            rng.shuffle(block)
-            out.extend(block)
-        return out[:max_steps]
+            return cycle(self.explicit)
+        return _shuffled_blocks(list(self.nodes), random.Random(self.seed))
+
+    def activations(self, max_steps: int) -> list[str]:
+        return list(islice(self.stream(), max_steps))
+
+
+def _shuffled_blocks(block: list[str], rng: random.Random) -> Iterator[str]:
+    while block:
+        rng.shuffle(block)
+        yield from block
 
 
 def fair_schedule(nodes: Iterable[str], seed: int = 0) -> Schedule:
@@ -72,8 +79,11 @@ class Converged:
 
 @dataclass(frozen=True)
 class Oscillating:
-    """A recurring global state with at least one selection change between
-    the two occurrences; witness lists the states along the cycle."""
+    """A fair recurrence: the global state after step first_step recurs
+    after step recurrence_step, with a selection change in between, and
+    every node is activated in between or stable in one of the states.
+    Repeating that segment forever is a fair schedule that never converges.
+    witness lists the states after steps first_step..recurrence_step."""
 
     witness: tuple[Mapping[str, Optional[RoutePath]], ...]
     first_step: int
@@ -111,7 +121,8 @@ def _node_order(pspp: PsppInstance, v: str) -> tuple[RoutePath, ...]:
 
 
 class _Encoded:
-    """Integer encoding of a totally ordered instance for _simulate_run."""
+    """Integer encoding of a totally ordered instance: nodes and paths are
+    indices, a selection state is a list of path indices (-1 = none)."""
 
     def __init__(self, pspp: PsppInstance) -> None:
         nodes = set(pspp.permitted)
@@ -123,104 +134,140 @@ class _Encoded:
         self.nidx = {v: i for i, v in enumerate(self.nodes)}
         self.paths = tuple(sorted({p for ps in pspp.permitted.values() for p in ps}))
         pidx = {p: i for i, p in enumerate(self.paths)}
-        ptr = [0]
-        order_path: list[int] = []
-        for v in self.nodes:
-            for p in _node_order(pspp, v) if v in pspp.permitted else ():
-                order_path.append(pidx[p])
-            ptr.append(len(order_path))
-        self.order_ptr = np.array(ptr, np.int64)
-        self.order_path = np.array(order_path, np.int64)
-        # -1 next hop marks the always-available empty path; a missing suffix
-        # gets tail -2, which never matches any selection (including "none")
-        self.path_next = np.array(
-            [-1 if is_empty(p) else self.nidx[p[1]] for p in self.paths], np.int64
-        )
-        self.path_tail = np.array(
-            [-1 if is_empty(p) else pidx.get(p[1:], -2) for p in self.paths], np.int64
-        )
-        self.node_cyclic = np.array(
-            [pspp.is_cyclic_at(v) for v in self.nodes], np.bool_
-        )
-        # beaters of each path at cyclic nodes, in that node's list order
-        doms: dict[int, list[int]] = {i: [] for i in range(len(self.paths))}
+        # each path as (index, next hop, suffix index): next hop -1 marks the
+        # always-available empty path; a missing suffix gets -2, which never
+        # matches any selection (including "none")
+        self.cand = cand = [
+            (i, -1, -1) if is_empty(p) else (i, self.nidx[p[1]], pidx.get(p[1:], -2))
+            for i, p in enumerate(self.paths)
+        ]
+        self.order = [
+            [cand[pidx[p]] for p in _node_order(pspp, v)] if v in pspp.permitted else []
+            for v in self.nodes
+        ]
+        # beaters of each path at a cyclic node, in that node's list order;
+        # None at nodes whose relation is an order
+        self.beaters: list[Optional[list]] = [None] * len(self.paths)
         for v in self.nodes:
             if v not in pspp.permitted or not pspp.is_cyclic_at(v):
                 continue
             raw = pspp.prefs.get(v, frozenset())
             listed = _node_order(pspp, v)
             for p in pspp.permitted[v]:
-                doms[pidx[p]] = [pidx[q] for q in listed if (q, p) in raw]
-        dptr = [0]
-        dom_path: list[int] = []
-        for i in range(len(self.paths)):
-            dom_path.extend(doms[i])
-            dptr.append(len(dom_path))
-        self.dom_ptr = np.array(dptr, np.int64)
-        self.dom_path = np.array(dom_path, np.int64)
+                self.beaters[pidx[p]] = [cand[pidx[q]] for q in listed if (q, p) in raw]
 
-    def decode(self, sel: np.ndarray) -> dict[str, Optional[RoutePath]]:
-        return {
-            v: (self.paths[sel[i]] if sel[i] >= 0 else None)
-            for i, v in enumerate(self.nodes)
-        }
+    def choose(self, v: int, sel: list[int]) -> int:
+        """The path node v adopts when activated in state sel.
+
+        A path is available when its immediate suffix is the current
+        selection of its next hop. A node whose preference relation is a
+        (total) order adopts the first available path of its best-first
+        list. A node whose pairwise relation is cyclic has no best path: it
+        behaves like the real decision process and switches relative to its
+        incumbent. If an available path beats the current one it adopts the
+        first such, otherwise it keeps the incumbent; with no usable
+        incumbent it takes the first available path of its list.
+        """
+        cur = sel[v]
+        if cur >= 0 and self.beaters[cur] is not None:
+            _, nh, tail = self.cand[cur]
+            if nh < 0 or sel[nh] == tail:
+                for q, nq, tq in self.beaters[cur]:
+                    if nq < 0 or sel[nq] == tq:
+                        return q
+                return cur
+        for p, nh, tail in self.order[v]:
+            if nh < 0 or sel[nh] == tail:
+                return p
+        return -1
+
+    def decode(self, sel: list[int]) -> dict[str, Optional[RoutePath]]:
+        return {v: (self.paths[s] if s >= 0 else None) for v, s in zip(self.nodes, sel)}
 
 
-def _simulate_run(order_ptr, order_path, path_next, path_tail, node_cyclic,
-                  dom_ptr, dom_path, sched, window, traj, max_steps):
-    """Run the selection dynamics; record the full trajectory.
+def _simulate_run(enc: _Encoded, schedule: Schedule, max_steps: int) -> SimOutcome:
+    """Run the selection dynamics online, in memory bounded by the number of
+    distinct states seen.
 
-    A path is available when its immediate suffix is the current selection
-    of its next hop (empty paths, next hop -1, are always available at their
-    own node). A node whose preference relation is a (total) order adopts
-    the first available path of its best-first order list. A node whose
-    pairwise relation is cyclic has no best path: it behaves like the real
-    decision process and switches relative to its incumbent — if any
-    available path beats the current one (dom_ptr/dom_path list the beaters
-    of each path) it adopts the first such, otherwise it keeps the incumbent;
-    with no usable incumbent it takes the first available path of its list.
-    Returns (converged, steps, changes) where changes[t] marks steps that
-    altered a selection. Convergence: no change across 2*window steps.
+    stream() draws the schedule's activations as node indices, the same
+    sequence on every call, so a segment can be replayed. Each state that a
+    step changes is keyed as bytes and mapped to the step it first held
+    after. A recurrence (necessarily with a change in between) ends the run
+    when its segment is fair, see _fair; an unfair one keeps the run going.
+    Convergence: no change across 2*window steps.
     """
-    n = order_ptr.shape[0] - 1
-    sel = np.full(n, -1, np.int32)
-    changes = np.zeros(max_steps, np.bool_)
+
+    def stream() -> Iterator[int]:
+        return map(enc.nidx.__getitem__, schedule.stream())
+
+    n = len(enc.nodes)
+    window = schedule.window
+    choose = enc.choose
+    sel = [-1] * n
+    npaths = len(enc.paths)
+    key = array("B" if npaths < 255 else "H" if npaths < 65535 else "L", [0]) * n
+    seen: dict[bytes, int] = {}
+    last_act = [-1] * n
     last_change = -1
-    steps = 0
-    for t in range(max_steps):
-        node = sched[t]
-        new = -1
-        cur = sel[node]
-        if node_cyclic[node] and cur >= 0:
-            nh = path_next[cur]
-            if nh < 0 or sel[nh] == path_tail[cur]:
-                new = cur
-                for j in range(dom_ptr[cur], dom_ptr[cur + 1]):
-                    q = dom_path[j]
-                    nq = path_next[q]
-                    if nq < 0 or sel[nq] == path_tail[q]:
-                        new = q
-                        break
-        if new < 0:
-            for k in range(order_ptr[node], order_ptr[node + 1]):
-                p = order_path[k]
-                nh = path_next[p]
-                if nh < 0 or sel[nh] == path_tail[p]:
-                    new = p
-                    break
-        if new != sel[node]:
-            sel[node] = new
+    t = -1
+    for t, v in enumerate(islice(stream(), max_steps)):
+        last_act[v] = t
+        new = choose(v, sel)
+        if new != sel[v]:
+            sel[v] = new
+            key[v] = new + 1
             last_change = t
-            changes[t] = True
-        traj[t, :] = sel
-        steps = t + 1
+            t0 = seen.setdefault(key.tobytes(), t)
+            if t0 != t and _fair(enc, stream, sel, last_act, t0, t):
+                return Oscillating(_replay(enc, stream(), t0, t), t0, t)
+        elif t == 0:  # the state after a first step that changed nothing
+            seen[key.tobytes()] = 0
         if t - last_change >= 2 * window:
-            return True, steps, changes
-    return False, steps, changes
+            return Converged(enc.decode(sel), t + 1)
+    return Undetermined(t + 1)
+
+
+def _fair(
+    enc: _Encoded,
+    stream: Callable[[], Iterator[int]],
+    sel: list[int],
+    last_act: list[int],
+    t0: int,
+    t: int,
+) -> bool:
+    """Whether the segment between two occurrences of state sel (after
+    steps t0 and t) is fair: each node is activated after t0 or stable in
+    one of the segment's states. Nodes left unactivated keep their
+    selection, so they are tested along a replay of the segment from sel.
+    Under a schedule that activates every node once per window, only a
+    segment shorter than two windows needs the replay."""
+    if min(last_act) > t0:
+        return True
+    stale = [u for u, a in enumerate(last_act) if a <= t0 and enc.choose(u, sel) != sel[u]]
+    if not stale:
+        return True
+    state = list(sel)
+    for v in islice(stream(), t0 + 1, t + 1):
+        state[v] = enc.choose(v, state)
+        stale = [u for u in stale if enc.choose(u, state) != state[u]]
+        if not stale:
+            return True
+    return False
+
+
+def _replay(enc: _Encoded, acts: Iterator[int], t0: int, t: int) -> tuple[dict, ...]:
+    """The states after steps t0..t, replayed from step 0."""
+    state = [-1] * len(enc.nodes)
+    witness = []
+    for s, v in enumerate(islice(acts, t + 1)):
+        state[v] = enc.choose(v, state)
+        if s >= t0:
+            witness.append(enc.decode(state))
+    return tuple(witness)
 
 
 def step(state: ProtocolState, node: str, pspp: PsppInstance) -> ProtocolState:
-    """One activation (reference implementation of _simulate_run's rule).
+    """One activation (reference implementation of _Encoded.choose).
 
     A node with an acyclic relation adopts its best available path. A node
     whose pairwise relation is cyclic switches relative to its incumbent:
@@ -258,9 +305,13 @@ def simulate(
 ) -> SimOutcome:
     """Run the dynamics to a fixed point, an oscillation proof, or a cap.
 
+    The schedule is drawn lazily and the run stops at the first verdict, in
+    memory bounded by the number of distinct states seen (not by
+    max_steps x nodes).
     Converged: no selection changed over two full fairness windows.
-    Oscillating: some global selection state recurred with at least one
-    change in between (exact, since the state space is finite).
+    Oscillating: the first fair recurrence of a global selection state with
+    a change in between, detected online (exact, since the state space is
+    finite). Its witness is rebuilt by replaying the schedule.
     Undetermined: max_steps exhausted without either verdict.
     """
     enc = _Encoded(pspp)
@@ -268,29 +319,7 @@ def simulate(
         schedule = fair_schedule(enc.nodes, seed)
     if max_steps is None:
         max_steps = max(1, 10 * schedule.window * max(len(enc.paths), 1))
-    acts = schedule.activations(max_steps)
-    sched = np.array([enc.nidx[v] for v in acts], np.int64)
-    traj = np.full((max_steps, len(enc.nodes)), -1, np.int32)
-    converged, steps, changes = _simulate_run(
-        enc.order_ptr, enc.order_path, enc.path_next, enc.path_tail,
-        enc.node_cyclic, enc.dom_ptr, enc.dom_path,
-        sched, schedule.window, traj, max_steps,
-    )
-    if converged:
-        return Converged(enc.decode(traj[steps - 1]), steps)
-    # exact recurrence scan: state bytes -> first step, with change counts
-    change_prefix = np.cumsum(changes[:steps])
-    seen: dict[bytes, int] = {}
-    for t in range(steps):
-        key = traj[t].tobytes()
-        t0 = seen.get(key)
-        if t0 is None:
-            seen[key] = t
-            continue
-        if change_prefix[t] > change_prefix[t0]:
-            witness = tuple(enc.decode(traj[i]) for i in range(t0, t + 1))
-            return Oscillating(witness, int(t0), int(t))
-    return Undetermined(steps)
+    return _simulate_run(enc, schedule, max_steps)
 
 
 def trace(
@@ -300,7 +329,7 @@ def trace(
 ) -> Iterator[str]:
     """Per-step selections as JSON lines (reference Python stepping)."""
     state = ProtocolState({}, 0)
-    for t, node in enumerate(schedule.activations(max_steps)):
+    for t, node in enumerate(islice(schedule.stream(), max_steps)):
         state = step(state, node, pspp)
         sel = {
             v: (list(p) if p is not None else None) for v, p in state.selections.items()

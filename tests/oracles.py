@@ -316,3 +316,98 @@ def search_py(inst, demands, prefs, start, cfg, model, baseline_cost):
                 frac, stagnant = min(cfg.frac_max, frac * 2), 0
         trail.append((dict(cur), cur_cost))
     return trail
+
+
+def simulate_py(pspp, schedule, max_steps: int):
+    """Reference loop for sim.simulate. It steps with sim.step, keeps every
+    state after every step, and applies the definitions literally: at each
+    step it tests every earlier occurrence of the current state, and the
+    first one with a change in between whose segment is fair (every node is
+    activated inside it or stable in one of its states) proves an
+    oscillation. Convergence is no change across 2*window steps."""
+    from igpfix.sim import Converged, Oscillating, ProtocolState, Undetermined, step
+
+    nodes = sorted(set(pspp.permitted) | {p[1] for ps in pspp.permitted.values() for p in ps if len(p) > 1})
+
+    def choice(v, s):
+        return step(ProtocolState(s), v, pspp).selections[v]
+
+    acts = schedule.activations(max_steps)
+
+    def fair(t0, t):
+        active = set(acts[t0 + 1 : t + 1])
+        return all(
+            v in active or any(choice(v, states[s]) == states[s][v] for s in range(t0, t + 1))
+            for v in nodes
+        )
+
+    state = {v: None for v in nodes}
+    states, changes, occurrences = [], [], {}
+    n_changes, last_change = 0, -1
+    for t, v in enumerate(acts):
+        new = choice(v, state)
+        if new != state[v]:
+            n_changes, last_change = n_changes + 1, t
+        state = {**state, v: new}
+        states.append(state)
+        changes.append(n_changes)
+        key = tuple(state[u] for u in nodes)
+        for t0 in occurrences.get(key, []):
+            if changes[t0] < n_changes and fair(t0, t):
+                return Oscillating(tuple(states[t0 : t + 1]), t0, t)
+        occurrences.setdefault(key, []).append(t)
+        if t - last_change >= 2 * schedule.window:
+            return Converged(state, t + 1)
+    return Undetermined(len(acts))
+
+
+def random_pspp(seed: int):
+    """Small random instance toward egresses "e" (and sometimes "f") with
+    2-5 further nodes of at most 4 simple paths each. Paths mostly extend a
+    path permitted at their next hop; a few have a suffix that is not
+    permitted. Half the instances hold a dispute wheel: a ring of nodes,
+    each with a direct path and one through the next. Each node ranks its
+    paths longest first (four times in five) or at random. A node with 3 or
+    more paths gets, at random, that total order or a random tournament
+    (usually cyclic) with the ranking as its order list."""
+    import random as _random
+
+    from igpfix.pspp import PsppInstance
+
+    rng = _random.Random(seed)
+    egresses = ["e", "f"][: rng.randint(1, 2)]
+    inner = ["a", "b", "c", "d", "g"][: rng.randint(2, 5)]
+    permitted = {x: {(x,)} for x in egresses}
+    for v in inner:
+        permitted[v] = {(v, x) for x in egresses if rng.random() < 0.6}
+    if rng.random() < 0.5:
+        ring = inner[: rng.randint(2, len(inner))]
+        for v, u in zip(ring, ring[1:] + ring[:1]):
+            permitted[v] |= {(v, egresses[0]), (v, u, egresses[0])}
+    for _ in range(2):
+        for v in inner:
+            ext = sorted((v, *p) for u in inner if u != v for p in permitted[u] if v not in p)
+            room = 4 - len(permitted[v])
+            permitted[v].update(rng.sample(ext, min(room, len(ext), rng.randint(1, 3))))
+    for v in inner:
+        others = [u for u in inner if u != v]
+        if len(permitted[v]) < 4 and rng.random() < 0.3:
+            permitted[v].add((v, *rng.sample(others, min(2, len(others))), rng.choice(egresses)))
+    prefs, order = {}, {}
+    for v, ps in permitted.items():
+        paths = sorted(ps)
+        if not paths:
+            continue
+        ranked = rng.sample(paths, len(paths))
+        if rng.random() < 0.8:
+            ranked.sort(key=len, reverse=True)
+        order[v] = tuple(ranked)
+        if len(paths) >= 3 and rng.random() < 0.4:
+            prefs[v] = frozenset(
+                (p, q) if rng.random() < 0.5 else (q, p)
+                for i, p in enumerate(paths) for q in paths[i + 1 :]
+            )
+        else:
+            prefs[v] = frozenset((p, q) for i, p in enumerate(ranked) for q in ranked[i + 1 :])
+    permitted = {v: tuple(sorted(ps)) for v, ps in permitted.items() if ps}
+    return PsppInstance("pfx", frozenset(egresses), permitted, prefs, order)
