@@ -149,6 +149,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
             "objective": sol.objective,
             "n_changed": sol.n_changed,
             "budget_exceeded": sol.budget_exceeded,
+            "nodes": sol.nodes,
         }
     elif args.mode == "unequal":
         sol = solve_joint_unequal(inst, demands, prefs, w_initial, cfg, jcfg)

@@ -3,8 +3,9 @@
 The feasibility system ties a potential (the path's total weight) to every
 mandated path and suffix; mandated pairs become strict integer gaps realized
 by virtual weights. The exact solver is a branch-and-bound over the
-constrained integer link weights, using Bellman-Ford feasibility of the
-potential difference system as its relaxation.
+constrained integer link weights. Bellman-Ford over the potential difference
+system tightens the link domains, and the cheapest change left inside them
+bounds the cost.
 """
 
 from __future__ import annotations
@@ -122,19 +123,24 @@ class RepairConfig:
 
     def resolved(self, sys: FeasibilitySystem, n_links: int) -> tuple[int, int, int]:
         w_max = self.w_max if self.w_max is not None else sys.w_max
-        eps = self.epsilon if self.epsilon is not None else w_max
+        eps, big_m = _eps_big_m(self, w_max, n_links)
         if eps < 1:
             raise ValidationError("epsilon must be >= 1")
-        big_m = self.big_m if self.big_m is not None else w_max * w_max * n_links + 1
         if big_m <= eps * eps:
             raise ValidationError("big_m must exceed epsilon^2")
         return eps, big_m, w_max
 
 
-def h_cost(delta: int, cfg: RepairConfig, w_max: int = 1, n_links: int = 1) -> int:
-    """Quadratic change cost below the epsilon cap, M at or beyond it."""
+def _eps_big_m(cfg: RepairConfig, w_max: int, n_links: int) -> tuple[int, int]:
+    """cfg's epsilon and big_m, defaulting to w_max and w_max^2 * n_links + 1."""
     eps = cfg.epsilon if cfg.epsilon is not None else w_max
     big_m = cfg.big_m if cfg.big_m is not None else w_max * w_max * n_links + 1
+    return eps, big_m
+
+
+def h_cost(delta: int, cfg: RepairConfig, w_max: int = 1, n_links: int = 1) -> int:
+    """Quadratic change cost below the epsilon cap, M at or beyond it."""
+    eps, big_m = _eps_big_m(cfg, w_max, n_links)
     return delta * delta if abs(delta) < eps else big_m
 
 
@@ -184,6 +190,7 @@ class RepairSolution:
     neighbours_scored: int = 0
     destinations_recomputed: int = 0
     stop_reason: Optional[str] = None
+    nodes: int = 0  # exact solve: domain propagations made
 
 
 def changed_links_of(
@@ -208,102 +215,123 @@ def solution_lambdas(sys: FeasibilitySystem, weights: Mapping[LinkKey, int]) -> 
 # --- Bellman-Ford relaxation over the potential difference graph ---------
 
 
+def _pref_tag(r: PrefRow) -> str:
+    return f"pref {r.prefix}:{r.pref}<{r.worse}"
+
+
+def _grouped(tails: np.ndarray, heads: np.ndarray, n: int):
+    """(permutation, tails, group starts) of the edges sorted by head."""
+    perm = np.argsort(heads, kind="stable")
+    return perm, tails[perm], np.searchsorted(heads[perm], np.arange(n))
+
+
 class _DiffGraph:
-    """x_v - x_u <= c edges over (ZERO + non-empty closure paths)."""
+    """x_v - x_u <= c edges over (anchor + non-empty closure paths), built once
+    per solve.
+
+    Node 0 is the anchor that all empty paths share. Only the two edges of a
+    suffix row depend on the link domains: hi on q -> p and -lo on p -> q.
+    Every node also has a zero-cost self-loop, so each node has an incoming
+    edge in either direction and one relaxation round is a segmented minimum
+    over the edges grouped by head.
+    """
 
     def __init__(self, sys: FeasibilitySystem) -> None:
         self.sys = sys
         nonempty = [p for p in sys.paths if not is_empty(p)]
-        # all empty paths share the anchor node 0
-        self.node_of = {p: 0 for p in sys.paths if is_empty(p)}
-        self.node_of.update({p: i + 1 for i, p in enumerate(nonempty)})
-        self.n = len(nonempty) + 1
+        node_of = {p: 0 for p in sys.paths if is_empty(p)}
+        node_of.update({p: i + 1 for i, p in enumerate(nonempty)})
+        n = self.n = len(nonempty) + 1
+        # a tied pair's gap is its link's weight: the suffix row and the
+        # link domain already carry it
+        self.untied = [r for r in sys.pref_rows if r.tied_link is None]
+        rows = sys.suffix_rows
+        link_idx = {k: i for i, k in enumerate(sys.links)}
+        self.row_p = np.array([node_of[r.p] for r in rows], np.int64)
+        self.row_q = np.array([node_of[r.q] for r in rows], np.int64)
+        self.row_link = np.array([link_idx[r.link] for r in rows], np.int64)
+        pref = np.array([node_of[r.pref] for r in self.untied], np.int64)
+        worse = np.array([node_of[r.worse] for r in self.untied], np.int64)
+        ids, anchor, loops = np.arange(1, n), np.zeros(n - 1, np.int64), np.arange(n)
+        # blocks: lambda-ub, lambda-lb, suffix hi, suffix -lo, pref gap
+        # <= w_max, pref gap >= 1, self-loops
+        self.us = np.concatenate([anchor, ids, self.row_q, self.row_p, pref, worse, loops])
+        self.vs = np.concatenate([ids, anchor, self.row_p, self.row_q, worse, pref, loops])
+        m, k = len(rows), len(self.untied)
+        self.base = np.concatenate([
+            np.full(n - 1, float(sys.lambda_bound())), np.zeros(n - 1), np.zeros(2 * m),
+            np.full(k, float(sys.w_max)), np.full(k, -1.0), np.zeros(n),
+        ])
+        self.hi_pos = 2 * (n - 1) + np.arange(m)
+        self.lo_pos = self.hi_pos + m
+        self.fwd = _grouped(self.us, self.vs, n)
+        self.rev = _grouped(self.vs, self.us, n)
 
-    def edges(self, dom: Mapping[LinkKey, tuple[int, int]]) -> list[tuple[int, int, float, str]]:
-        """(u, v, cost, tag) meaning x_v - x_u <= cost."""
-        sys = self.sys
-        out: list[tuple[int, int, float, str]] = []
-        bound = sys.lambda_bound()
-        for i in range(1, self.n):
-            out.append((0, i, float(bound), "lambda-ub"))
-            out.append((i, 0, 0.0, "lambda-lb"))
-        for r in sys.suffix_rows:
-            lo, hi = dom[r.link]
-            u, v = self.node_of[r.q], self.node_of[r.p]
-            out.append((u, v, float(hi), f"suffix {r.p}"))
-            out.append((v, u, float(-lo), f"suffix {r.p}"))
-        for r in sys.pref_rows:
-            if r.tied_link is not None:
-                continue  # equality already carried by the suffix row + link domain
-            u, v = self.node_of[r.pref], self.node_of[r.worse]
-            out.append((u, v, float(sys.w_max), f"pref {r.prefix}:{r.pref}<{r.worse}"))
-            out.append((v, u, -1.0, f"pref {r.prefix}:{r.pref}<{r.worse}"))
-        return out
+    def costs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        c = self.base.copy()
+        c[self.hi_pos] = hi[self.row_link]
+        c[self.lo_pos] = -lo[self.row_link]
+        return c
 
+    def relax(self, dist: np.ndarray, grouped, c: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Bellman-Ford rounds from dist; (dist, converged). Without a
+        negative cycle, n rounds reach the fixed point from any start that
+        bounds the shortest distances from above and is 0 at its source."""
+        perm, tails, starts = grouped
+        cp = c[perm]
+        for _ in range(self.n + 1):
+            new = np.minimum.reduceat(dist[tails] + cp, starts)
+            if not (new < dist).any():  # the self-loops keep new <= dist
+                return dist, True
+            dist = new
+        return dist, False
 
-def _bellman_ford(n: int, edges: list[tuple[int, int, float, str]], source: Optional[int] = None):
-    """Shortest distances over x_v - x_u <= c edges.
+    def propagate(self, lo: np.ndarray, hi: np.ndarray, warm=None):
+        """Tighten link domains via interval arithmetic on potential bounds.
 
-    With source=None every node starts at 0 (virtual super-source): pure
-    feasibility mode, detecting any negative cycle. With a concrete source
-    the distances are single-source shortest paths, i.e. tight upper bounds
-    on x_v - x_source. Returns (dist, None) or (None, cycle_tags).
-    """
-    us = np.array([e[0] for e in edges], np.int64)
-    vs = np.array([e[1] for e in edges], np.int64)
-    cs = np.array([e[2] for e in edges])
-    if source is None:
-        dist = np.zeros(n)
-    else:
-        dist = np.full(n, np.inf)
-        dist[source] = 0.0
-    for it in range(n + 1):
-        cand = dist[us] + cs
-        new = dist.copy()
-        np.minimum.at(new, vs, cand)
-        if np.array_equal(new, dist):
-            return dist, None
-        dist = new
-    # a negative cycle exists; collect still-relaxable constraint tags
-    cand = dist[us] + cs
-    bad = cand < dist[vs] - 1e-9
-    tags = sorted({edges[i][3] for i in np.nonzero(bad)[0]})
-    return None, tags
-
-
-def _propagated_domains(
-    sys: FeasibilitySystem,
-    dg: _DiffGraph,
-    dom: dict[LinkKey, tuple[int, int]],
-) -> Optional[dict[LinkKey, tuple[int, int]]]:
-    """Tighten link domains via interval arithmetic on potential bounds.
-
-    Returns None when some domain empties (prune) or the difference system
-    has a negative cycle.
-    """
-    edges = dg.edges(dom)
-    feas, _ = _bellman_ford(dg.n, edges)
-    if feas is None:
-        return None
-    # one pass of interval tightening: lambda_p - lambda_anchor in
-    # [lam_lo, lam_hi], from single-source shortest paths out of the anchor
-    # (forward graph for upper bounds, reversed for lower bounds)
-    lam_hi, _ = _bellman_ford(dg.n, edges, source=0)
-    rev = [(v, u, c, t) for (u, v, c, t) in edges]
-    neg_lo, _ = _bellman_ford(dg.n, rev, source=0)
-    if lam_hi is None or neg_lo is None:
-        return None
-    lam_lo = -neg_lo
-    new = dict(dom)
-    for r in sys.suffix_rows:
-        ip, iq = dg.node_of[r.p], dg.node_of[r.q]
-        lo, hi = new[r.link]
-        lo = max(lo, int(np.ceil(lam_lo[ip] - lam_hi[iq] - 1e-9)))
-        hi = min(hi, int(np.floor(lam_hi[ip] - lam_lo[iq] + 1e-9)))
-        if lo > hi:
+        lambda_p - lambda_anchor lies in [lam_lo, lam_hi], from shortest
+        paths out of the anchor in the forward graph (lam_hi) and the
+        reversed one (-lam_lo). The anchor has an edge to every node, so
+        the forward pass fails to converge exactly when the system has a
+        negative cycle. warm holds the distances of a parent whose
+        domains contain these; the distances only fall from there. Returns
+        (lo, hi, distances), or None when the system has a negative cycle
+        or a domain empties.
+        """
+        c = self.costs(lo, hi)
+        if warm is None:
+            start = np.full(self.n, np.inf)
+            start[0] = 0.0
+            warm = (start, start)
+        lam_hi, ok = self.relax(warm[0], self.fwd, c)
+        if not ok:
             return None
-        new[r.link] = (lo, hi)
-    return new
+        neg_lo, _ = self.relax(warm[1], self.rev, c)  # same cycles: converges
+        lam_lo = -neg_lo
+        p, q = self.row_p, self.row_q
+        lo, hi = lo.copy(), hi.copy()
+        # intersecting intervals does not depend on the order of the rows
+        np.maximum.at(lo, self.row_link, np.ceil(lam_lo[p] - lam_hi[q] - 1e-9).astype(np.int64))
+        np.minimum.at(hi, self.row_link, np.floor(lam_hi[p] - lam_lo[q] + 1e-9).astype(np.int64))
+        if (lo > hi).any():
+            return None
+        return lo, hi, (lam_hi, neg_lo)
+
+    def conflict(self, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+        """Constraints still relaxable after n + 1 rounds from a virtual
+        super-source (every node at 0); empty without a negative cycle."""
+        c = self.costs(lo, hi)
+        dist, ok = self.relax(np.zeros(self.n), self.fwd, c)
+        if ok:
+            return []
+        sys, n = self.sys, self.n
+        tags = (
+            ["lambda-ub"] * (n - 1) + ["lambda-lb"] * (n - 1)
+            + [f"suffix {r.p}" for r in sys.suffix_rows] * 2
+            + [_pref_tag(r) for r in self.untied] * 2
+        )
+        bad = np.nonzero(dist[self.us] + c < dist[self.vs] - 1e-9)[0]
+        return sorted({tags[i] for i in bad})  # self-loops are never relaxable
 
 
 def _leaf_feasible(sys: FeasibilitySystem, weights: Mapping[LinkKey, int]) -> bool:
@@ -312,6 +340,18 @@ def _leaf_feasible(sys: FeasibilitySystem, weights: Mapping[LinkKey, int]) -> bo
         if not 1 <= gap <= sys.w_max:
             return False
     return True
+
+
+def _verify_rows(sys: FeasibilitySystem, weights: Mapping[LinkKey, int]) -> VerificationRecord:
+    """verify_solution over the system's rows: its pref rows are the closed
+    preferences' pairs in order, its suffix rows the closure's paths."""
+    violations = []
+    for r in sys.pref_rows:
+        wp, wq = path_weight(r.pref, weights), path_weight(r.worse, weights)
+        if not wp < wq:
+            violations.append((r.prefix, r.pref, r.worse, wp, wq))
+    suffix_ok = all(path_weight(r.q, weights) <= path_weight(r.p, weights) for r in sys.suffix_rows)
+    return VerificationRecord(not violations and suffix_ok, tuple(violations), suffix_ok)
 
 
 def solve_min_change(
@@ -323,111 +363,122 @@ def solve_min_change(
 
     Ties break by fewest changed links, then by the lexicographically
     smallest weight vector over the constrained links. Unconstrained links
-    keep their initial weight (unknowns get 1). On budget exhaustion the
-    best incumbent is returned with budget_exceeded set.
+    keep their initial weight (unknowns get 1). A subtree is cut when its
+    cost so far plus, for every unassigned link, the cheapest change inside
+    its propagated domain exceeds the incumbent's cost; cutting only on a
+    strict excess keeps every optimal leaf, so the tie-break holds. On
+    budget exhaustion the best incumbent is returned with budget_exceeded
+    set; with no incumbent, an infeasible LP relaxation still proves the
+    mandates infeasible.
     """
-    n_links = len(w_initial)
-    eps, big_m, w_max = cfg.resolved(sys, max(n_links, 1))
+    n_links = max(len(w_initial), 1)
+    _, _, w_max = cfg.resolved(sys, n_links)
     deadline = time.monotonic() + cfg.time_budget
     dg = _DiffGraph(sys)
+    links = sys.links
 
     tied_links = {r.tied_link for r in sys.pref_rows if r.tied_link is not None}
-    lo0 = {k: max(cfg.min_weight, 1 if k in tied_links else 0) for k in sys.links}
-    dom0 = {k: (lo0[k], w_max) for k in sys.links}
-    dom0 = _propagated_domains(sys, dg, dom0)
-    if dom0 is None:
-        edges = dg.edges({k: (lo0[k], w_max) for k in sys.links})
-        _, tags = _bellman_ford(dg.n, edges)
+    lo0 = np.array([max(cfg.min_weight, 1 if k in tied_links else 0) for k in links], np.int64)
+    hi0 = np.full(len(links), w_max, np.int64)
+    nodes = 1
+    root = dg.propagate(lo0, hi0)
+    if root is None:
         raise InfeasibleRepairError(
-            "mandated preferences admit no weight assignment", tags or ["(domain wipeout)"]
+            "mandated preferences admit no weight assignment",
+            dg.conflict(lo0, hi0) or ["(domain wipeout)"],
         )
 
-    occ: dict[LinkKey, int] = {k: 0 for k in sys.links}
-    for r in sys.suffix_rows:
-        occ[r.link] += 1
-    order = sorted(sys.links, key=lambda k: (-occ[k], k))
+    # cost[i][v]: change cost of weight v on link i (unknown initial: free)
+    init = [w_initial.get(k) for k in links]
+    cost = [
+        [0 if w0 is None else h_cost(v - w0, cfg, w_max, n_links) for v in range(w_max + 1)]
+        for w0 in init
+    ]
+    cost_arr = np.array(cost, dtype=float).reshape(len(links), w_max + 1)
+    target = np.array([0 if w0 is None else w0 for w0 in init], np.int64)
+    # prefer cheap moves; among zero-cost options avoid weight 0 (ECMP
+    # rejects it) before falling back to it
+    ranked = [sorted(range(w_max + 1), key=lambda v: (row[v], v == 0, v)) for row in cost]
 
-    def link_cost(k: LinkKey, v: int) -> int:
-        init = w_initial.get(k)
-        if init is None:
-            return 0
-        d = v - init
-        return d * d if abs(d) < eps else big_m
+    occ = np.bincount(dg.row_link, minlength=len(links))
+    order = sorted(range(len(links)), key=lambda i: (-occ[i], links[i]))
+    rests = [np.array(order[j + 1:], np.int64) for j in range(len(order))]
 
-    def candidates(k: LinkKey, dom: tuple[int, int]) -> list[int]:
-        lo, hi = dom
-        vals = list(range(lo, hi + 1))
-        # prefer cheap moves; among zero-cost options avoid weight 0 (ECMP
-        # rejects it) before falling back to it
-        return sorted(vals, key=lambda v: (link_cost(k, v), v == 0, v))
+    def bound(lo: np.ndarray, hi: np.ndarray, rest: np.ndarray) -> float:
+        # the change cost grows with |delta|, so each link's cheapest value
+        # is the one nearest its initial weight
+        return float(cost_arr[rest, np.clip(target[rest], lo[rest], hi[rest])].sum())
 
-    best: Optional[tuple[float, int, tuple[int, ...], dict[LinkKey, int]]] = None
+    best: Optional[tuple[float, int, tuple[int, ...]]] = None
     budget_hit = False
 
-    def incumbent_key(cost: float, assign: dict[LinkKey, int]) -> tuple:
-        n_changed = sum(
-            1
-            for k in sys.links
-            if w_initial.get(k) is not None and assign[k] != w_initial[k]
-        )
-        vec = tuple(assign[k] for k in sys.links)
-        return (cost, n_changed, vec)
-
-    def dfs(idx: int, assign: dict[LinkKey, int], cost: float, dom: dict) -> None:
-        nonlocal best, budget_hit
+    def dfs(idx: int, c0: float, lo: np.ndarray, hi: np.ndarray, dist) -> None:
+        nonlocal best, budget_hit, nodes
         if time.monotonic() > deadline:
             budget_hit = True
             return
-        if best is not None and cost > best[0]:
-            return
         if idx == len(order):
-            if _leaf_feasible(sys, assign):
-                key = incumbent_key(cost, assign)
-                if best is None or key < best[:3]:
-                    best = (key[0], key[1], key[2], dict(assign))
+            vec = tuple(lo.tolist())  # every link is fixed here
+            if _leaf_feasible(sys, dict(zip(links, vec))):
+                n_changed = sum(1 for w0, v in zip(init, vec) if w0 is not None and v != w0)
+                key = (c0, n_changed, vec)
+                if best is None or key < best:
+                    best = key
             return
-        k = order[idx]
-        for v in candidates(k, dom[k]):
-            c = cost + link_cost(k, v)
-            if best is not None and c > best[0]:
+        i, rest = order[idx], rests[idx]
+        floor = bound(lo, hi, rest)
+        lo_i, hi_i = int(lo[i]), int(hi[i])
+        for v in ranked[i]:
+            if not lo_i <= v <= hi_i:
+                continue
+            c = c0 + cost[i][v]
+            if best is not None and c + floor > best[0]:
                 break  # candidates sorted by cost: nothing cheaper follows
-            child = dict(dom)
-            child[k] = (v, v)
-            child = _propagated_domains(sys, dg, child)
+            clo, chi = lo.copy(), hi.copy()
+            clo[i] = chi[i] = v
+            nodes += 1
+            child = dg.propagate(clo, chi, dist)
             if child is None:
                 continue
-            assign[k] = v
-            dfs(idx + 1, assign, c, child)
-            del assign[k]
+            if best is not None and c + bound(child[0], child[1], rest) > best[0]:
+                continue
+            dfs(idx + 1, c, *child)
             if budget_hit:
                 return
 
-    dfs(0, {}, 0.0, dom0)
+    dfs(0, 0.0, *root)
 
     if best is None:
+        conflict = [_pref_tag(r) for r in sys.pref_rows]
+        if budget_hit and w_max <= sys.w_max:
+            # the relaxation holds every integer point this search accepts
+            # (see solve_relaxed), so its proof settles an unfinished search
+            try:
+                solve_relaxed(sys, w_initial, min_weight=cfg.min_weight, raise_infeasible=True)
+            except InfeasibleRepairError:
+                budget_hit = False
         if budget_hit:
             raise InfeasibleRepairError(
-                "time budget exhausted before any feasible assignment was found",
-                [f"pref {r.prefix}:{r.pref}<{r.worse}" for r in sys.pref_rows],
+                "time budget exhausted before any feasible assignment was found", conflict
             )
         raise InfeasibleRepairError(
-            "no integer assignment satisfies the mandated preferences",
-            [f"pref {r.prefix}:{r.pref}<{r.worse}" for r in sys.pref_rows],
+            "no integer assignment satisfies the mandated preferences", conflict
         )
 
     weights: dict[LinkKey, int] = {}
-    for k, init in w_initial.items():
-        weights[k] = init if init is not None else max(1, cfg.min_weight)
-    weights.update(best[3])
+    for k, w0 in w_initial.items():
+        weights[k] = w0 if w0 is not None else max(1, cfg.min_weight)
+    weights.update(zip(links, best[2]))
     changed, n_changed = changed_links_of(w_initial, weights)
     return RepairSolution(
         weights=weights,
         changed_links=changed,
-        realized=VerificationRecord(True, (), True),
+        realized=_verify_rows(sys, weights),
         objective=best[0],
         n_changed=n_changed,
         stage="exact",
         budget_exceeded=budget_hit,
+        nodes=nodes,
     )
 
 
@@ -537,7 +588,7 @@ def solve_relaxed(
     if res.status == 2 and raise_infeasible:
         raise InfeasibleRepairError(
             "LP relaxation of the mandated preferences is infeasible",
-            [f"pref {r.prefix}:{r.pref}<{r.worse}" for r in sys.pref_rows],
+            [_pref_tag(r) for r in sys.pref_rows],
         )
     if not res.success:
         return None

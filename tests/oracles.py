@@ -173,13 +173,14 @@ def mandates_feasible(
     return True
 
 
-def brute_force_min_change(
+def min_change_key(
     sys: FeasibilitySystem,
     prefs: MandatedPreferences,
     w_initial: Mapping[LinkKey, Optional[int]],
     cfg: RepairConfig,
-) -> Optional[float]:
-    """Exhaustive minimum change cost over all weight vectors on the
+) -> Optional[tuple[float, int, tuple[int, ...]]]:
+    """Exhaustive minimum of (change cost, changed known-weight links, weight
+    vector over sys.links) over every feasible weight vector on the
     constrained links; None when no assignment is feasible."""
     eps, big_m, w_max = cfg.resolved(sys, max(len(w_initial), 1))
     lo = max(cfg.min_weight, 0)
@@ -188,16 +189,29 @@ def brute_force_min_change(
         w = dict(zip(sys.links, combo))
         if not mandates_feasible(prefs, w, w_max):
             continue
-        cost = 0
+        cost = changed = 0
         for k, v in w.items():
             init = w_initial.get(k)
-            if init is None:
+            if init is None or v == init:
                 continue
             d = v - init
             cost += d * d if abs(d) < eps else big_m
-        if best is None or cost < best:
-            best = cost
-    return None if best is None else float(best)
+            changed += 1
+        key = (float(cost), changed, combo)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def brute_force_min_change(
+    sys: FeasibilitySystem,
+    prefs: MandatedPreferences,
+    w_initial: Mapping[LinkKey, Optional[int]],
+    cfg: RepairConfig,
+) -> Optional[float]:
+    """Exhaustive minimum change cost; None when no assignment is feasible."""
+    key = min_change_key(sys, prefs, w_initial, cfg)
+    return None if key is None else key[0]
 
 
 def enum_equal_split_loads(

@@ -73,6 +73,8 @@ def test_repair_unsafe_produces_verified_change(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["changes"] and doc["verified"]
     assert doc["stages"]["safety_after"]["safe"]
+    # a work counter, not a time: it sits with the stage, not under timings
+    assert doc["stages"]["exact"]["nodes"] > 0 and "nodes" not in doc["timings"]
     with open(wout) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6 and all(int(r["weight"]) >= 0 for r in rows)

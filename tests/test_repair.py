@@ -1,11 +1,19 @@
 import pytest
 
-from igpfix.bgp_prefs import preferences_from_pairs
-from igpfix.netmodel import Link, NetworkInstance, ValidationError
+from igpfix.bgp_prefs import derive_med_preferences, preferences_from_pairs
+from igpfix.netmodel import (
+    Link,
+    NetworkInstance,
+    ValidationError,
+    WaxmanParams,
+    assign_random_weights,
+    generate_waxman,
+)
 from igpfix.paths import path_weight
 from igpfix.repair import (
     InfeasibleRepairError,
     RepairConfig,
+    _verify_rows,
     build_system,
     export_lp,
     h_cost,
@@ -15,8 +23,9 @@ from igpfix.repair import (
     solve_relaxed,
     verify_solution,
 )
+from igpfix.scenarios import inject_med_conflicts, random_pref_paths, two_prefix_med
 
-from oracles import brute_force_min_change, mandates_feasible
+from oracles import brute_force_min_change, mandates_feasible, min_change_key, random_small_instance
 
 
 def _line4():
@@ -103,6 +112,78 @@ def test_solve_min_change_tie_break_is_deterministic():
     assert s1.weights == s2.weights
 
 
+@pytest.mark.parametrize(
+    "cfg", [RepairConfig(), RepairConfig(epsilon=1, big_m=100)], ids=["quadratic", "count"]
+)
+def test_solve_min_change_matches_exhaustive_key(cfg):
+    # the full key: cost, then fewest changed links, then the smallest
+    # vector; with epsilon=1 every change costs the same, so ties are common
+    checked = 0
+    for seed in range(400):
+        inst = random_small_instance(seed, 4, 6, w_max=5)
+        try:
+            prefs = random_pref_paths(inst, n_paths=4, n_prefs=3, seed=seed, max_len=2,
+                                      max_attempts=5)
+            sys_ = build_system(inst, prefs)
+        except ValidationError:
+            continue
+        if len(sys_.links) > 4:
+            continue
+        w0 = assign_random_weights(inst, seed=seed, low=0, high=5)
+        if seed % 3 == 0:
+            w0[sys_.links[0]] = None  # an unknown weight changes for free
+        want = min_change_key(sys_, prefs, w0, cfg)
+        try:
+            sol = solve_min_change(sys_, w0, cfg)
+            got = (sol.objective, sol.n_changed, tuple(sol.weights[k] for k in sys_.links))
+        except InfeasibleRepairError:
+            got = None
+        assert got == want, f"seed {seed}"
+        checked += 1
+        if checked == 50:
+            break
+    assert checked == 50
+
+
+def test_changed_count_breaks_cost_ties():
+    # the cheapest assignments cost 13; one changes 4 links, another 5
+    inst = random_small_instance(359, 4, 7, w_max=4)
+    prefs = random_pref_paths(inst, n_paths=5, n_prefs=4, seed=359, max_len=3, max_attempts=5)
+    sys_ = build_system(inst, prefs)
+    w0 = assign_random_weights(inst, seed=359, low=0, high=4)
+    want = min_change_key(sys_, prefs, w0, RepairConfig())
+    sol = solve_min_change(sys_, w0, RepairConfig())
+    assert want[:2] == (13.0, 4)
+    assert (sol.objective, sol.n_changed, tuple(sol.weights[k] for k in sys_.links)) == want
+
+
+def _census(seed):
+    inst, routes = two_prefix_med()
+    inst = inst.with_weights(assign_random_weights(inst, seed=seed, low=1, high=16))
+    return inst, derive_med_preferences(inst, routes, hop_bound=2)
+
+
+def test_realized_record_is_verify_solution():
+    cases = [(_line4(), _prefs())] + [_census(seed) for seed in range(1000, 1012)]
+    for inst, prefs in cases:
+        sys = build_system(inst, prefs)
+        for cfg in (RepairConfig(), RepairConfig(epsilon=1, big_m=100, min_weight=1)):
+            sol = solve_min_change(sys, inst.initial_weights(), cfg)
+            assert sol.realized == verify_solution(inst, prefs, sol.weights)
+    # and on weights that break both the mandates and suffix monotonicity
+    inst, prefs = _line4(), _prefs()
+    bad = {("a", "r"): 5, ("b", "r"): 1, ("r", "s"): 1, ("c", "s"): 1}
+    assert _verify_rows(build_system(inst, prefs), bad) == verify_solution(inst, prefs, bad)
+
+
+def test_node_count_repeats():
+    inst, prefs = _census(1001)
+    sys = build_system(inst, prefs)
+    cfg = RepairConfig(epsilon=1, big_m=100, min_weight=1)
+    runs = [solve_min_change(sys, inst.initial_weights(), cfg) for _ in range(2)]
+    assert runs[0].nodes == runs[1].nodes > 0
+
+
 def test_change_count_objective_via_epsilon_one():
     inst = _line4()
     sys = build_system(inst, _prefs())
@@ -134,6 +215,17 @@ def test_budget_exhaustion_flagged():
     sys = build_system(inst, _prefs())
     with pytest.raises(InfeasibleRepairError, match="budget"):
         solve_min_change(sys, inst.initial_weights(), RepairConfig(time_budget=0.0))
+
+
+def test_budget_exhausted_without_incumbent_asks_the_relaxation():
+    # the root Bellman-Ford passes these infeasible mandates and the search
+    # cannot refute them within its budget; the LP relaxation does
+    inst = generate_waxman(WaxmanParams(n=20, seed=8), w_max=16)
+    inst = inst.with_weights(assign_random_weights(inst, seed=8))
+    prefs = derive_med_preferences(inst, inject_med_conflicts(inst, 3, seed=8), hop_bound=2)
+    sys = build_system(inst, prefs)
+    with pytest.raises(InfeasibleRepairError, match="no integer assignment"):
+        solve_min_change(sys, inst.initial_weights(), RepairConfig(min_weight=0, time_budget=1.0))
 
 
 def test_solution_lambdas_satisfy_rows():

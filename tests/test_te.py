@@ -221,8 +221,9 @@ def test_phi_array_is_bit_identical_to_phi():
 
 
 def _found_instance():
-    """Waxman n=30, 4 injected MED conflicts: infeasible mandates that the
-    branch-and-bound cannot refute within its budget."""
+    """Waxman n=30, 4 injected MED conflicts: infeasible mandates whose
+    branch-and-bound search does not end within its budget; the LP
+    relaxation refutes them."""
     base = generate_waxman(WaxmanParams(n=30, seed=0), w_max=100)
     w0 = assign_random_weights(base, seed=0)
     inst = base.with_weights(w0)
@@ -239,7 +240,7 @@ def test_joint_stops_at_once_when_the_relaxation_is_infeasible(monkeypatch):
     inst, dm, prefs, w0 = _found_instance()
     sys_ = build_system(inst, prefs)
     assert solve_relaxed(sys_, w0, min_weight=1) is None
-    with pytest.raises(InfeasibleRepairError, match="budget"):
+    with pytest.raises(InfeasibleRepairError, match="no integer assignment"):
         solve_min_change(sys_, w0, RepairConfig(min_weight=1, time_budget=0.5))
     monkeypatch.setattr(te, "solve_min_change", forbidden)
     with pytest.raises(InfeasibleRepairError, match="LP relaxation"):
