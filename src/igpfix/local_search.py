@@ -50,14 +50,6 @@ def _te_costs(model: TECostModel, ga: GraphArrays, totals: np.ndarray) -> list[f
     return [float(sum(p[t != 0].tolist())) for p, t in zip(penalty, totals)]
 
 
-@dataclass
-class SearchState:
-    weights: dict[LinkKey, int]
-    cost: Optional[float]  # None while infeasible: no cost ranking
-    feasible: bool
-    iteration: int = 0
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     gamma: float = 10.0

@@ -9,8 +9,9 @@ linearization of it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .netmodel import ValidationError, link_key
 from .paths import RoutePath, immediate_suffix, is_empty, links_of
@@ -35,6 +36,25 @@ def _transitive_closure(pairs: Iterable[PrefPair]) -> set[PrefPair]:
     return {(a, b) for a, bs in succ.items() for b in bs}
 
 
+def _beaten_counts(
+    pairs: frozenset[PrefPair], paths: tuple[RoutePath, ...]
+) -> Optional[dict[RoutePath, int]]:
+    """How many pairs beat each path, when pairs order every pair of the
+    distinct paths exactly once (a tournament); None otherwise. pairs must
+    hold no reflexive pair and no pair in both orientations."""
+    k = len(paths)
+    if len(pairs) != k * (k - 1) // 2:
+        return None
+    beaten = dict.fromkeys(paths, 0)
+    if len(beaten) != k:
+        return None
+    for a, b in pairs:
+        if a not in beaten or b not in beaten:
+            return None
+        beaten[b] += 1
+    return beaten
+
+
 @dataclass(frozen=True)
 class PsppInstance:
     """Permitted paths with per-node preference relations.
@@ -49,6 +69,12 @@ class PsppInstance:
     mandates marks the subset of prefs pairs that are externally mandated
     (decisive regardless of IGP distance); the simulator's selection rule
     eliminates mandate-dominated paths before comparing the rest.
+
+    A relation that orders every pair of permitted[v] exactly once (a
+    tournament, as weights_to_pspp builds) is never closed eagerly: it is
+    acyclic iff its paths are beaten 0, 1, ..., k-1 times, and then it is
+    its own closure and that count is each path's best-first rank. Other
+    relations are closed when the instance is built.
     """
 
     destination: str
@@ -59,6 +85,8 @@ class PsppInstance:
     mandates: Mapping[str, frozenset[PrefPair]] = field(default_factory=dict)
     _closure: dict = field(default_factory=dict, compare=False, repr=False)
     _cyclic: set = field(default_factory=set, compare=False, repr=False)
+    _tournament: set = field(default_factory=set, compare=False, repr=False)
+    _ranked: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for v, paths in self.permitted.items():
@@ -75,16 +103,42 @@ class PsppInstance:
                     raise ValidationError(f"reflexive preference at {v}: {a}")
                 if (b, a) in pairs:
                     raise ValidationError(f"both orientations at {v}: {a} vs {b}")
-            closure = _transitive_closure(pairs)
-            if any(a != b and (b, a) in closure for a, b in closure):
+            beaten = _beaten_counts(pairs, self.permitted.get(v, ()))
+            if beaten is None:
+                closure = _transitive_closure(pairs)
+                if any(a != b and (b, a) in closure for a, b in closure):
+                    self._cyclic.add(v)
+                self._closure[v] = closure
+                continue
+            # a tournament is acyclic iff transitive iff its scores are
+            # 0..k-1 (Landau 1953); a cyclic one is closed only on demand
+            self._tournament.add(v)
+            ranked = sorted(beaten, key=beaten.__getitem__)
+            if all(beaten[p] == i for i, p in enumerate(ranked)):
+                self._closure[v] = pairs
+                self._ranked[v] = tuple(ranked)
+            else:
                 self._cyclic.add(v)
-            self._closure[v] = closure
 
-    def pref_closure(self, v: str) -> set[PrefPair]:
-        return self._closure.get(v, set())
+    def pref_closure(self, v: str) -> AbstractSet[PrefPair]:
+        c = self._closure.get(v)
+        if c is None:
+            if v not in self.prefs:
+                return set()
+            c = self._closure[v] = _transitive_closure(self.prefs[v])
+        return c
 
     def is_cyclic_at(self, v: str) -> bool:
         return v in self._cyclic
+
+    def is_tournament_at(self, v: str) -> bool:
+        """Whether prefs[v] orders every pair of permitted[v] exactly once."""
+        return v in self._tournament
+
+    def ranked(self, v: str) -> Optional[tuple[RoutePath, ...]]:
+        """permitted[v] best-first when prefs[v] is a transitive tournament
+        (a total order), else None."""
+        return self._ranked.get(v)
 
     def strictly_prefers(self, v: str, p: RoutePath, q: RoutePath) -> bool:
         raw = self.prefs.get(v, frozenset())
@@ -186,6 +240,11 @@ def build_path_digraph(pspp: PsppInstance) -> PathDigraph:
             if s in present:
                 arcs.append((s, p, "suffix"))
     for v in sorted(pspp.permitted):
+        if pspp.is_tournament_at(v):
+            # the closure of a transitive tournament is the relation itself,
+            # and a cyclic relation contributes its raw pairs only
+            arcs.extend((p, q, "pref") for p, q in pspp.prefs[v])
+            continue
         pv = pspp.permitted[v]
         for i, p in enumerate(pv):
             for q in pv[i + 1 :]:
@@ -250,10 +309,10 @@ def rank_witness(dg: PathDigraph) -> dict[RoutePath, int]:
     for _, b, _ in dg.arcs:
         indeg[b] += 1
     ranks = {p: 0 for p in dg.paths}
-    queue = sorted(p for p in dg.paths if indeg[p] == 0)
+    queue = deque(sorted(p for p in dg.paths if indeg[p] == 0))
     done = 0
     while queue:
-        p = queue.pop(0)
+        p = queue.popleft()
         done += 1
         for q, _ in succ[p]:
             ranks[q] = max(ranks[q], ranks[p] + 1)

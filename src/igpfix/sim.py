@@ -41,8 +41,8 @@ class Schedule:
     sequence overrides the generator and is cycled. Either way the sequence
     is drawn lazily and is fully determined by the schedule, so a run can be
     replayed. An explicit sequence need not be fair: `simulate` reports an
-    oscillation only when the repeated segment is fair, but its convergence
-    test still trusts that every node activates once per window.
+    oscillation only when the repeated segment is fair, and convergence only
+    at a fixed point.
     """
 
     nodes: tuple[str, ...]
@@ -102,7 +102,8 @@ def _node_order(pspp: PsppInstance, v: str) -> tuple[RoutePath, ...]:
     """Best-first candidate list for one node.
 
     Acyclic relation: the relation's own total order (derived, since an
-    explicit order field may rank by IGP distance only). Cyclic relation:
+    explicit order field may rank by IGP distance only; a transitive
+    tournament's is its score ranking). Cyclic relation:
     there is no best-first order; the explicit (IGP) order list is required
     and serves as the no-incumbent fallback sequence.
     """
@@ -110,6 +111,9 @@ def _node_order(pspp: PsppInstance, v: str) -> tuple[RoutePath, ...]:
         if pspp.order is None:
             raise ValidationError(f"node {v} has a cyclic relation and no order list")
         return tuple(pspp.order[v])
+    by_score = pspp.ranked(v)
+    if by_score is not None:
+        return by_score
     paths = pspp.permitted[v]
     c = pspp.pref_closure(v)
     ranked = sorted(paths, key=lambda p: (sum(1 for q in paths if (q, p) in c and q != p), p))
@@ -194,7 +198,10 @@ def _simulate_run(enc: _Encoded, schedule: Schedule, max_steps: int) -> SimOutco
     step changes is keyed as bytes and mapped to the step it first held
     after. A recurrence (necessarily with a change in between) ends the run
     when its segment is fair, see _fair; an unfair one keeps the run going.
-    Convergence: no change across 2*window steps.
+    Convergence: no change across 2*window steps, and no node would move if
+    activated. A quiet state that is not a fixed point (a node the schedule
+    skips could still move) keeps the run going; it is tested again only
+    after the next change.
     """
 
     def stream() -> Iterator[int]:
@@ -209,6 +216,7 @@ def _simulate_run(enc: _Encoded, schedule: Schedule, max_steps: int) -> SimOutco
     seen: dict[bytes, int] = {}
     last_act = [-1] * n
     last_change = -1
+    stale_at = -2  # last_change when the quiet state was found not to be a fixed point
     t = -1
     for t, v in enumerate(islice(stream(), max_steps)):
         last_act[v] = t
@@ -222,8 +230,10 @@ def _simulate_run(enc: _Encoded, schedule: Schedule, max_steps: int) -> SimOutco
                 return Oscillating(_replay(enc, stream(), t0, t), t0, t)
         elif t == 0:  # the state after a first step that changed nothing
             seen[key.tobytes()] = 0
-        if t - last_change >= 2 * window:
-            return Converged(enc.decode(sel), t + 1)
+        if t - last_change >= 2 * window and stale_at != last_change:
+            if all(choose(u, sel) == sel[u] for u in range(n)):
+                return Converged(enc.decode(sel), t + 1)
+            stale_at = last_change  # a node the schedule skips could still move
     return Undetermined(t + 1)
 
 
@@ -308,7 +318,8 @@ def simulate(
     The schedule is drawn lazily and the run stops at the first verdict, in
     memory bounded by the number of distinct states seen (not by
     max_steps x nodes).
-    Converged: no selection changed over two full fairness windows.
+    Converged: no selection changed over two full fairness windows, and the
+    state is a fixed point (no node would move if activated).
     Oscillating: the first fair recurrence of a global selection state with
     a change in between, detected online (exact, since the state space is
     finite). Its witness is rebuilt by replaying the schedule.
@@ -383,8 +394,9 @@ def weights_to_pspp(
     relation: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
     mandates: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
     for v, paths in by_source.items():
+        key = {p: (path_weight(p, w), p) for p in paths}
         permitted[v] = tuple(sorted(paths))
-        order[v] = tuple(sorted(paths, key=lambda p: (path_weight(p, w), p)))
+        order[v] = tuple(sorted(paths, key=key.__getitem__))
         rel: set[tuple[RoutePath, RoutePath]] = set()
         mset: set[tuple[RoutePath, RoutePath]] = set()
         for i, p in enumerate(permitted[v]):
@@ -395,7 +407,7 @@ def weights_to_pspp(
                 elif p in mand.get(q, ()):
                     rel.add((q, p))
                     mset.add((q, p))
-                elif (path_weight(p, w), p) < (path_weight(q, w), q):
+                elif key[p] < key[q]:
                     rel.add((p, q))
                 else:
                     rel.add((q, p))

@@ -338,7 +338,8 @@ def simulate_py(pspp, schedule, max_steps: int):
     step it tests every earlier occurrence of the current state, and the
     first one with a change in between whose segment is fair (every node is
     activated inside it or stable in one of its states) proves an
-    oscillation. Convergence is no change across 2*window steps."""
+    oscillation. Convergence is no change across 2*window steps in a state
+    where no node would move if activated."""
     from igpfix.sim import Converged, Oscillating, ProtocolState, Undetermined, step
 
     nodes = sorted(set(pspp.permitted) | {p[1] for ps in pspp.permitted.values() for p in ps if len(p) > 1})
@@ -370,7 +371,7 @@ def simulate_py(pspp, schedule, max_steps: int):
             if changes[t0] < n_changes and fair(t0, t):
                 return Oscillating(tuple(states[t0 : t + 1]), t0, t)
         occurrences.setdefault(key, []).append(t)
-        if t - last_change >= 2 * schedule.window:
+        if t - last_change >= 2 * schedule.window and all(choice(u, state) == state[u] for u in nodes):
             return Converged(state, t + 1)
     return Undetermined(len(acts))
 
@@ -425,3 +426,103 @@ def random_pspp(seed: int):
             prefs[v] = frozenset((p, q) for i, p in enumerate(ranked) for q in ranked[i + 1 :])
     permitted = {v: tuple(sorted(ps)) for v, ps in permitted.items() if ps}
     return PsppInstance("pfx", frozenset(egresses), permitted, prefs, order)
+
+
+def bounded_paths_py(inst: NetworkInstance, egresses, hop_bound: int) -> list[tuple[str, ...]]:
+    """Every simple path of at most hop_bound links that ends at an egress
+    (the egresses' empty paths included), grown forward from each source."""
+    egresses = set(egresses)
+    out = set()
+
+    def grow(p):
+        if p[-1] in egresses:
+            out.add(p)
+        if len(p) <= hop_bound:
+            for u in inst.neighbors(p[-1]):
+                if u not in p:
+                    grow(p + (u,))
+
+    for s in inst.nodes:
+        grow((s,))
+    return sorted(out)
+
+
+def closure_py(pairs) -> set:
+    """Transitive closure of a relation by a DFS from every element."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    out = set()
+    for a, nexts in succ.items():
+        seen, stack = set(), list(nexts)
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        out.update((a, b) for b in seen)
+    return out
+
+
+def weights_to_relation_py(inst, prefs: MandatedPreferences, w, prefix, hop_bound):
+    """Reference for sim.weights_to_pspp: (permitted, prefs, mandates, order)
+    per node. Each same-source pair is decided on its own: a mandate of the
+    closed mandated relation wins (tested with p the lexicographically
+    smaller path first), else the lighter path, ties to the lexicographically
+    smaller one. order ranks by weight alone, with the same tie-break."""
+    mand = closure_py(prefs.pairs.get(prefix, ()))
+    permitted: dict = {}
+    for p in bounded_paths_py(inst, prefs.egresses[prefix], hop_bound):
+        permitted.setdefault(p[0], []).append(p)
+    rel, mandates, order = {}, {}, {}
+    for v, ps in permitted.items():
+        rel[v], mandates[v] = set(), set()
+        for p, q in itertools.combinations(ps, 2):
+            if (p, q) in mand:
+                pair = (p, q)
+                mandates[v].add(pair)
+            elif (q, p) in mand:
+                pair = (q, p)
+                mandates[v].add(pair)
+            elif path_weight(p, w) < path_weight(q, w) or (path_weight(p, w) == path_weight(q, w) and p < q):
+                pair = (p, q)
+            else:
+                pair = (q, p)
+            rel[v].add(pair)
+        order[v] = tuple(sorted(ps, key=lambda p: (path_weight(p, w), p)))
+    return {v: tuple(ps) for v, ps in permitted.items()}, rel, mandates, order
+
+
+def path_digraph_py(permitted, prefs):
+    """Reference for pspp.build_path_digraph and is_cyclic_at: (sorted arcs,
+    cyclic nodes, closure per node). A node is cyclic when its closed
+    relation relates some path to itself. Its preference arcs are its raw
+    pairs; every other node's are its closed pairs. Both only between paths
+    permitted at the node."""
+    paths = {p for ps in permitted.values() for p in ps}
+    arcs = [(p[1:], p, "suffix") for p in paths if len(p) > 1 and p[1:] in paths]
+    cyclic, closures = set(), {}
+    for v, ps in permitted.items():
+        raw = set(prefs.get(v, ()))
+        closures[v] = closure_py(raw)
+        if any(a == b for a, b in closures[v]):
+            cyclic.add(v)
+        rel = raw if v in cyclic else closures[v]
+        arcs += [(p, q, "pref") for p in ps for q in ps if p != q and (p, q) in rel]
+    return sorted(arcs), cyclic, closures
+
+
+def longest_ranks_py(paths, arcs) -> Optional[dict]:
+    """Longest-path ranks (0 at every path without a predecessor), found by
+    relaxing every arc until nothing changes; None when the arcs hold a
+    cycle, i.e. when relaxation goes on past len(paths) rounds."""
+    ranks = {p: 0 for p in paths}
+    for _ in range(len(paths) + 1):
+        changed = False
+        for a, b, _ in arcs:
+            if ranks[b] < ranks[a] + 1:
+                ranks[b] = ranks[a] + 1
+                changed = True
+        if not changed:
+            return ranks
+    return None

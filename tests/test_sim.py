@@ -199,6 +199,20 @@ def test_unfair_recurrence_is_not_an_oscillation():
     assert all(s["u"] is None for s in out.witness)
 
 
+def test_converged_only_at_a_fixed_point():
+    """The good gadget plus a node u whose one path u-e is always
+    available. A schedule that never activates u leaves the other nodes
+    quiet, but u could still move, so the run does not converge."""
+    orders = {v: list(ps) for v, ps in _good_gadget().order.items()}
+    pspp = from_total_orders("pfx", ["e"], {**orders, "u": [("u", "e")]})
+    sched = fair_schedule(["x", "y", "z", "e"], 0)
+    out = simulate(pspp, sched)
+    assert out == Undetermined(steps=320)
+    assert simulate_py(pspp, sched, 320) == out
+    out = simulate(pspp, fair_schedule(["u", "x", "y", "z", "e"], 0))
+    assert isinstance(out, Converged) and out.assignment["u"] == ("u", "e")
+
+
 def test_memory_is_bounded_by_states_not_steps():
     tracemalloc.start()
     try:
