@@ -55,6 +55,16 @@ def _beaten_counts(
     return beaten
 
 
+def _by_score(beaten: Mapping[RoutePath, int]) -> Optional[tuple[RoutePath, ...]]:
+    """The paths best-first when they are beaten 0, 1, ..., k-1 times, else
+    None. For a tournament that holds iff it is transitive (Landau 1953);
+    for an antisymmetric relation iff it orders every pair."""
+    ranked = sorted(beaten, key=beaten.__getitem__)
+    if all(beaten[p] == i for i, p in enumerate(ranked)):
+        return tuple(ranked)
+    return None
+
+
 @dataclass(frozen=True)
 class PsppInstance:
     """Permitted paths with per-node preference relations.
@@ -74,7 +84,8 @@ class PsppInstance:
     tournament, as weights_to_pspp builds) is never closed eagerly: it is
     acyclic iff its paths are beaten 0, 1, ..., k-1 times, and then it is
     its own closure and that count is each path's best-first rank. Other
-    relations are closed when the instance is built.
+    relations are closed when the instance is built, and ranked the same
+    way on their closure when it orders every pair of permitted paths.
     """
 
     destination: str
@@ -85,7 +96,6 @@ class PsppInstance:
     mandates: Mapping[str, frozenset[PrefPair]] = field(default_factory=dict)
     _closure: dict = field(default_factory=dict, compare=False, repr=False)
     _cyclic: set = field(default_factory=set, compare=False, repr=False)
-    _tournament: set = field(default_factory=set, compare=False, repr=False)
     _ranked: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,21 +114,26 @@ class PsppInstance:
                 if (b, a) in pairs:
                     raise ValidationError(f"both orientations at {v}: {a} vs {b}")
             beaten = _beaten_counts(pairs, self.permitted.get(v, ()))
-            if beaten is None:
-                closure = _transitive_closure(pairs)
-                if any(a != b and (b, a) in closure for a, b in closure):
+            if beaten is not None:
+                # a tournament: acyclic iff transitive iff its scores are
+                # 0..k-1; a cyclic one is closed only on demand
+                ranked = _by_score(beaten)
+                if ranked is None:
                     self._cyclic.add(v)
-                self._closure[v] = closure
+                else:
+                    self._closure[v] = pairs
+                    self._ranked[v] = ranked
                 continue
-            # a tournament is acyclic iff transitive iff its scores are
-            # 0..k-1 (Landau 1953); a cyclic one is closed only on demand
-            self._tournament.add(v)
-            ranked = sorted(beaten, key=beaten.__getitem__)
-            if all(beaten[p] == i for i, p in enumerate(ranked)):
-                self._closure[v] = pairs
-                self._ranked[v] = tuple(ranked)
-            else:
+            closure = self._closure[v] = _transitive_closure(pairs)
+            if any(a != b and (b, a) in closure for a, b in closure):
                 self._cyclic.add(v)
+        for v, paths in self.permitted.items():
+            if v in self._ranked or v in self._cyclic:
+                continue
+            closure = self.pref_closure(v)
+            ranked = _by_score({p: sum((q, p) in closure for q in paths) for p in paths})
+            if ranked is not None and len(ranked) == len(paths):
+                self._ranked[v] = ranked
 
     def pref_closure(self, v: str) -> AbstractSet[PrefPair]:
         c = self._closure.get(v)
@@ -131,13 +146,9 @@ class PsppInstance:
     def is_cyclic_at(self, v: str) -> bool:
         return v in self._cyclic
 
-    def is_tournament_at(self, v: str) -> bool:
-        """Whether prefs[v] orders every pair of permitted[v] exactly once."""
-        return v in self._tournament
-
     def ranked(self, v: str) -> Optional[tuple[RoutePath, ...]]:
-        """permitted[v] best-first when prefs[v] is a transitive tournament
-        (a total order), else None."""
+        """permitted[v] best-first when the closure of prefs[v] orders it
+        totally, else None."""
         return self._ranked.get(v)
 
     def strictly_prefers(self, v: str, p: RoutePath, q: RoutePath) -> bool:
@@ -240,18 +251,10 @@ def build_path_digraph(pspp: PsppInstance) -> PathDigraph:
             if s in present:
                 arcs.append((s, p, "suffix"))
     for v in sorted(pspp.permitted):
-        if pspp.is_tournament_at(v):
-            # the closure of a transitive tournament is the relation itself,
-            # and a cyclic relation contributes its raw pairs only
-            arcs.extend((p, q, "pref") for p, q in pspp.prefs[v])
-            continue
-        pv = pspp.permitted[v]
-        for i, p in enumerate(pv):
-            for q in pv[i + 1 :]:
-                if pspp.strictly_prefers(v, p, q):
-                    arcs.append((p, q, "pref"))
-                elif pspp.strictly_prefers(v, q, p):
-                    arcs.append((q, p, "pref"))
+        # a cyclic relation contributes its raw pairs only
+        rel = pspp.prefs.get(v, ()) if pspp.is_cyclic_at(v) else pspp.pref_closure(v)
+        pv = set(pspp.permitted[v])
+        arcs.extend((p, q, "pref") for p, q in rel if p in pv and q in pv)
     return PathDigraph(paths, tuple(sorted(arcs)))
 
 

@@ -102,8 +102,7 @@ def _node_order(pspp: PsppInstance, v: str) -> tuple[RoutePath, ...]:
     """Best-first candidate list for one node.
 
     Acyclic relation: the relation's own total order (derived, since an
-    explicit order field may rank by IGP distance only; a transitive
-    tournament's is its score ranking). Cyclic relation:
+    explicit order field may rank by IGP distance only). Cyclic relation:
     there is no best-first order; the explicit (IGP) order list is required
     and serves as the no-incumbent fallback sequence.
     """
@@ -111,17 +110,10 @@ def _node_order(pspp: PsppInstance, v: str) -> tuple[RoutePath, ...]:
         if pspp.order is None:
             raise ValidationError(f"node {v} has a cyclic relation and no order list")
         return tuple(pspp.order[v])
-    by_score = pspp.ranked(v)
-    if by_score is not None:
-        return by_score
-    paths = pspp.permitted[v]
-    c = pspp.pref_closure(v)
-    ranked = sorted(paths, key=lambda p: (sum(1 for q in paths if (q, p) in c and q != p), p))
-    for i, p in enumerate(ranked):  # demand a genuine total order
-        for q in ranked[i + 1 :]:
-            if (p, q) not in c:
-                raise ValidationError(f"preference order at {v} is not total: {p} vs {q}")
-    return tuple(ranked)
+    ranked = pspp.ranked(v)
+    if ranked is None:
+        raise ValidationError(f"preference order at {v} is not total")
+    return ranked
 
 
 class _Encoded:

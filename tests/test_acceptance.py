@@ -7,7 +7,6 @@ line (visible with -s, or via the test's own PASSED/FAILED status under
 
 from __future__ import annotations
 
-import gc
 import time
 
 import numpy as np
@@ -483,15 +482,10 @@ def test_criterion_10_scaling_is_linear_in_constraints(tmp_path):
 
 
 def _timed_relax(sys_, w0):
-    # collector pauses belong to whatever allocated before, not to the solve
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        if solve_relaxed(sys_, w0, min_weight=1) is None:
-            return None
-        return time.perf_counter() - t0
-    finally:
-        gc.enable()
+    t0 = time.perf_counter()
+    if solve_relaxed(sys_, w0, min_weight=1) is None:
+        return None
+    return time.perf_counter() - t0
 
 
 def test_criterion_11_equal_split_cost_matches_enumeration():

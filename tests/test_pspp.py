@@ -133,16 +133,23 @@ def test_export_digraph_mentions_every_arc():
 
 
 def _matches_digraph_oracle(pspp):
-    """build_path_digraph, is_cyclic_at, pref_closure and is_safe against
-    oracles.path_digraph_py: the same arcs, the same cyclic nodes and
-    closures, the oracle's longest-path ranks when safe, and a cycle of the
-    oracle's arcs when not. Returns the verdict."""
+    """build_path_digraph, is_cyclic_at, pref_closure, ranked and is_safe
+    against oracles.path_digraph_py: the same arcs, the same cyclic nodes
+    and closures, a best-first order exactly where the closure orders every
+    pair of permitted paths, the oracle's longest-path ranks when safe, and
+    a cycle of the oracle's arcs when not. Returns the verdict."""
     arcs, cyclic, closures = path_digraph_py(pspp.permitted, pspp.prefs)
     dg = build_path_digraph(pspp)
     assert dg.arcs == tuple(arcs)
     assert {v for v in pspp.permitted if pspp.is_cyclic_at(v)} == cyclic
-    for v in pspp.permitted:
-        assert set(pspp.pref_closure(v)) == closures[v]
+    for v, ps in pspp.permitted.items():
+        c = closures[v]
+        assert set(pspp.pref_closure(v)) == c
+        total = v not in cyclic and all(
+            (p, q) in c or (q, p) in c for i, p in enumerate(ps) for q in ps[i + 1 :]
+        )
+        best_first = tuple(sorted(ps, key=lambda p: sum((q, p) in c for q in ps)))
+        assert pspp.ranked(v) == (best_first if total else None)
     res = is_safe(dg)
     ranks = longest_ranks_py(dg.paths, arcs)
     assert res.safe == (ranks is not None)
@@ -203,7 +210,6 @@ def test_check_path_matches_oracle_on_random_instances():
         _matches_digraph_oracle(pspp)
         for v, ps in pspp.permitted.items():
             if len(ps) >= 3:
-                assert pspp.is_tournament_at(v)
                 cyclic += pspp.is_cyclic_at(v)
                 transitive += pspp.ranked(v) is not None
     assert cyclic >= 30 and transitive >= 100
@@ -237,8 +243,6 @@ def test_check_path_matches_oracle_on_partial_orders():
         _matches_digraph_oracle(pspp)
         for v, pairs in pspp.prefs.items():
             if pairs:
-                assert not pspp.is_tournament_at(v)
-                assert pspp.ranked(v) is None
                 if any(p not in pspp.permitted[v] for pair in pairs for p in pair):
                     foreign += 1
                 else:
