@@ -158,17 +158,18 @@ def cmd_repair(args: argparse.Namespace) -> int:
             "stage": sol.stage,
             "objective": sol.objective,
             "n_changed": sol.n_changed,
+            "exact_seed_skipped": sol.exact_seed_skipped,
         }
         if sol.te_cost_before:
             report.te_cost_normalized = sol.te_cost_after / sol.te_cost_before
-    else:  # equal: joint solve -> starts -> parallel local search
+    else:  # equal: joint solve -> starts -> one local search per start
         starts = generate_starts(inst, demands, prefs, w_initial, args.starts, cfg, jcfg)
         report.timings["starts"] = time.monotonic() - t0
         scfg = SearchConfig(gamma=args.gamma, seed=args.seed, starts=len(starts))
         t1 = time.monotonic()
         sol = parallel_search(
             inst, demands, prefs, starts, scfg,
-            mode=args.search_mode, threads=args.threads, w_initial=w_initial,
+            mode=args.search_mode, w_initial=w_initial,
         )
         report.timings["search"] = time.monotonic() - t1
         report.stages["search"] = {
@@ -272,7 +273,6 @@ def build_parser(defaults: Optional[dict[str, Any]] = None) -> argparse.Argument
     pr.add_argument("--starts", type=int, default=d.get("starts", 2))
     pr.add_argument("--seed", type=int, default=d.get("seed", 0))
     pr.add_argument("--budget", type=float, default=d.get("budget", 60.0))
-    pr.add_argument("--threads", type=int, default=d.get("threads"))
     pr.add_argument("--search-mode", choices=["best-of", "first-wins"],
                     default=d.get("search_mode", "best-of"))
     pr.add_argument("--report", help="write the JSON run report here")

@@ -3,25 +3,24 @@
 Classic single-weight-change neighborhood search with three twists: states
 violating a mandated preference are never explored, the search stops early
 once the TE cost is back within the operator's tolerance of the baseline,
-and several searches run in parallel from distinct feasible starts (either
-first-to-threshold wins or best-of-all).
+and several searches run one after another from distinct feasible starts
+(either the first to reach the threshold wins or the best of all is kept),
+with the same result for the same seed every time.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .bgp_prefs import MandatedPreferences
-from .netmodel import DemandMatrix, LinkKey, NetworkInstance, ValidationError
-from .paths import path_weight
+from .netmodel import DemandMatrix, LinkKey, NetworkInstance, ValidationError, WeightError
+from .paths import links_of, path_weight
 from .repair import RepairConfig, RepairSolution, VerificationRecord, changed_links_of, verify_solution
 from .routing import GraphArrays, route_demands, route_moves, total_load
 from .te import JointConfig, TECostModel, cost_model_for, solve_joint_unequal
@@ -87,6 +86,31 @@ def _baseline_cost(
     return ecmp_cost(inst, demands, base_w, model)
 
 
+def _mandate_incidence(prefs: MandatedPreferences, links: Sequence[LinkKey]) -> np.ndarray:
+    """One row per mandated pair (p over q) of prefs.all_pairs() and one
+    column per link: +1 on each link of q, -1 on each link of p. A row times
+    a weight vector is w(q) - w(p), positive iff the pair holds."""
+    col = {k: i for i, k in enumerate(links)}
+    pairs = prefs.all_pairs()
+    inc = np.zeros((len(pairs), len(links)), np.int64)
+    for r, (_, (p, q)) in enumerate(pairs):
+        for sign, path in ((1, q), (-1, p)):
+            for k in links_of(path):
+                if k not in col:
+                    raise WeightError(f"unknown weight on link {k}")
+                inc[r, col[k]] += sign
+    return inc
+
+
+def _keeps_mandates(
+    inc: np.ndarray, gaps: np.ndarray, w: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """Whether each move j, which sets link cols[j] of the weights w to
+    vals[j], keeps every mandated pair strictly ordered, given the pairs'
+    gaps inc @ w. Integer arithmetic, so exact."""
+    return (gaps[:, None] + inc[:, cols] * (vals - w[cols]) > 0).all(axis=0)
+
+
 def search(
     inst: NetworkInstance,
     demands: DemandMatrix,
@@ -96,7 +120,6 @@ def search(
     w_initial: Optional[Mapping[LinkKey, Optional[int]]] = None,
     baseline_cost: Optional[float] = None,
     model: Optional[TECostModel] = None,
-    stop: Optional[threading.Event] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RepairSolution:
     """Single-link-change descent from one feasible start.
@@ -104,31 +127,39 @@ def search(
     The incumbent always satisfies the mandated preferences and its cost is
     nonincreasing. Terminates early once cost <= baseline * (1 + gamma/100).
     The neighborhood sampling fraction adapts: halves on improvement, doubles
-    after a few stagnant rounds. Each iteration filters its sample (visited,
-    mandates), then scores the feasible moves together from the incumbent's
-    cached routing (routing.route_moves), bit-identically to ecmp_cost; the
-    first strictly cheapest move in sample order wins.
+    after a few stagnant rounds. Each iteration drops the sampled moves that
+    were already visited, then those that break a mandate (one integer
+    product against the incumbent's mandate gaps), then scores the rest
+    together from the incumbent's cached routing (routing.route_moves),
+    bit-identically to ecmp_cost; the first strictly cheapest move in sample
+    order wins. The first iterations of a run do not depend on max_iters.
     """
     if model is None:
         model = cost_model_for(inst)
     if w_initial is None:
         w_initial = inst.initial_weights()
-    if not _mandates_hold(prefs, start):
+    cur = dict(start)
+    links = sorted(cur)
+    w = np.array([cur[k] for k in links], np.int64)
+    inc = _mandate_incidence(prefs, links)
+    gaps = inc @ w
+    if not (gaps > 0).all():
         raise ValidationError("local search start violates a mandated preference")
     if baseline_cost is None:
         baseline_cost = _baseline_cost(inst, demands, w_initial, model)
     threshold = baseline_cost * (1 + cfg.gamma / 100.0)
 
     rng = random.Random(cfg.seed)
-    cur = dict(start)
-    cur_cost = ecmp_cost(inst, demands, cur, model)
-    visited: OrderedDict[tuple, None] = OrderedDict()
-    visited[tuple(sorted(cur.items()))] = None
-
-    links = sorted(cur)
     incumbent = route_demands(inst, demands, cur)
+    cur_cost = _te_costs(model, incumbent.ga, total_load(incumbent.loads)[None])[0]
+    # visited states are keyed by their weights in link order
+    cur_t = tuple(cur[k] for k in links)
+    visited: OrderedDict[tuple, None] = OrderedDict()
+    visited[cur_t] = None
+
     column = {k: i for i, k in enumerate(incumbent.ga.links)}
-    moves = [(k, v) for k in links for v in range(1, inst.w_max + 1)]
+    ga_col = np.array([column[k] for k in links], np.int64)
+    moves = [(i, v) for i in range(len(links)) for v in range(1, inst.w_max + 1)]
     frac = cfg.frac_start
     stagnant = 0
     scored = recomputed = 0
@@ -136,37 +167,36 @@ def search(
     stop_reason = "threshold" if early else "max_iters"
     it = 0
     while not early and it < cfg.max_iters:
-        if stop is not None and stop.is_set():
-            stop_reason = "stopped"
-            break
         it += 1
         sample = rng.sample(moves, max(1, int(frac * len(moves))))
-        feasible = []
-        for k, v in sample:
-            if cur[k] == v:
+        fresh = []
+        for i, v in sample:
+            if cur_t[i] == v:
                 continue
-            cand = dict(cur)
-            cand[k] = v
-            key = tuple(sorted(cand.items()))
+            key = cur_t[:i] + (v,) + cur_t[i + 1 :]
             if key in visited:
                 continue
             visited[key] = None
             while len(visited) > cfg.visited_cap:
                 visited.popitem(last=False)
-            if _mandates_hold(prefs, cand):
-                feasible.append((k, v))
-        totals, rerouted = route_moves(
-            incumbent, [column[k] for k, _ in feasible], [v for _, v in feasible]
-        )
-        scored += len(feasible)
+            fresh.append((i, v))
+        cols = np.array([i for i, _ in fresh], np.int64)
+        vals = np.array([v for _, v in fresh], np.int64)
+        keep = _keeps_mandates(inc, gaps, w, cols, vals)
+        cols, vals = cols[keep], vals[keep]
+        totals, rerouted = route_moves(incumbent, ga_col[cols], vals)
+        scored += len(cols)
         recomputed += int(rerouted.sum())
         best_move = None
-        for (k, v), c in zip(feasible, _te_costs(model, incumbent.ga, totals)):
+        for i, v, c in zip(cols.tolist(), vals.tolist(), _te_costs(model, incumbent.ga, totals)):
             if c < cur_cost and (best_move is None or c < best_move[0]):
-                best_move = (c, k, v)
+                best_move = (c, i, v)
         if best_move is not None:
-            cur_cost, k, v = best_move
-            cur = {**cur, k: v}
+            cur_cost, i, v = best_move
+            cur = {**cur, links[i]: v}
+            cur_t = cur_t[:i] + (v,) + cur_t[i + 1 :]
+            w[i] = v
+            gaps = inc @ w
             incumbent = route_demands(inst, demands, cur)
             frac = max(cfg.frac_min, frac / 2)
             stagnant = 0
@@ -185,7 +215,7 @@ def search(
         if progress is not None:
             progress(json.dumps({
                 "iter": it, "cost": cur_cost,
-                "feasible_neighbors": len(feasible), "action": action,
+                "feasible_neighbors": len(cols), "action": action,
                 "neighbours_scored": scored, "destinations_recomputed": recomputed,
             }))
 
@@ -217,17 +247,23 @@ def parallel_search(
     starts: Sequence[Mapping[LinkKey, int]],
     cfg: SearchConfig,
     mode: str = "best-of",
-    threads: Optional[int] = None,
     w_initial: Optional[Mapping[LinkKey, Optional[int]]] = None,
     baseline_cost: Optional[float] = None,
     model: Optional[TECostModel] = None,
 ) -> RepairSolution:
-    """One search per start, on threads.
+    """One search per start, run in start order on one thread; start i
+    searches with seed cfg.seed + i. The baseline cost is computed once and
+    shared by every search.
 
-    first-wins: the first search to reach the gamma threshold wins and the
-    rest are cancelled cooperatively. best-of: all searches complete and the
-    minimum-cost result is returned (deterministic given the seeds). The
-    baseline cost is computed once and shared by every search.
+    best-of: every search runs, and the result with the least (cost, sorted
+    weights) is returned. first-wins: the search that reaches the gamma
+    threshold in the fewest iterations wins, the lower start index breaking
+    ties. Once a winner exists, each later start runs for at most one
+    iteration fewer than the winner took, and is skipped when that is none:
+    a search's first iterations do not depend on max_iters, so this picks
+    the same winner as stepping every search in turn, with less work. When
+    no search reaches the threshold, first-wins returns what best-of would.
+    Both modes are deterministic per seed.
     """
     if mode not in ("best-of", "first-wins"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -239,37 +275,23 @@ def parallel_search(
         w_initial = inst.initial_weights()
     if baseline_cost is None:
         baseline_cost = _baseline_cost(inst, demands, w_initial, model)
-    stop = threading.Event() if mode == "first-wins" else None
-    threads = threads or len(starts)
-
-    def run(i: int, start: Mapping[LinkKey, int]) -> RepairSolution:
-        sub = SearchConfig(
-            cfg.gamma, cfg.max_iters, cfg.frac_start, cfg.frac_min, cfg.frac_max,
-            cfg.stagnation, cfg.seed + i, 1, cfg.visited_cap,
-        )
-        return search(
-            inst, demands, prefs, start, sub,
-            w_initial=w_initial, baseline_cost=baseline_cost, model=model, stop=stop,
-        )
 
     results: list[RepairSolution] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, i, s) for i, s in enumerate(starts)]
-        if stop is not None:
-            pending = set(futures)
-            winner = None
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for f in done:
-                    r = f.result()
-                    results.append(r)
-                    if r.early_terminated and winner is None:
-                        winner = r
-                        stop.set()
-            if winner is not None:
-                return winner
-        else:
-            results = [f.result() for f in futures]
+    winner: Optional[RepairSolution] = None
+    for i, start in enumerate(starts):
+        max_iters = cfg.max_iters
+        if winner is not None:
+            max_iters = winner.iterations - 1
+            if max_iters < 0:
+                break
+        sub = replace(cfg, seed=cfg.seed + i, starts=1, max_iters=max_iters)
+        r = search(inst, demands, prefs, start, sub,
+                   w_initial=w_initial, baseline_cost=baseline_cost, model=model)
+        results.append(r)
+        if mode == "first-wins" and r.early_terminated:
+            winner = r
+    if winner is not None:
+        return winner
     return min(results, key=lambda r: (r.objective, tuple(sorted(r.weights.items()))))
 
 

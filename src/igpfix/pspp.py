@@ -94,9 +94,13 @@ class PsppInstance:
     prefs: Mapping[str, frozenset[PrefPair]]  # (p, q): p strictly better than q
     order: Optional[Mapping[str, tuple[RoutePath, ...]]] = None  # IGP-best-first
     mandates: Mapping[str, frozenset[PrefPair]] = field(default_factory=dict)
-    _closure: dict = field(default_factory=dict, compare=False, repr=False)
-    _cyclic: set = field(default_factory=set, compare=False, repr=False)
-    _ranked: dict = field(default_factory=dict, compare=False, repr=False)
+    # derived from the fields above, so never passed in: a copy made with
+    # dataclasses.replace builds its own
+    _closure: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _cyclic: set = field(default_factory=set, init=False, compare=False, repr=False)
+    _ranked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the simulator's integer encoding (sim._Encoded), built on first use
+    _encoded: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for v, paths in self.permitted.items():

@@ -186,11 +186,12 @@ class RepairSolution:
     early_terminated: bool = False  # local search hit the gamma threshold
     iterations: int = 0
     # local search work: moves scored, destination rows recomputed for them,
-    # and why it stopped ("threshold", "max_iters" or "stopped")
+    # and why it stopped ("threshold" or "max_iters")
     neighbours_scored: int = 0
     destinations_recomputed: int = 0
     stop_reason: Optional[str] = None
     nodes: int = 0  # exact solve: domain propagations made
+    exact_seed_skipped: Optional[str] = None  # joint solve: why its exact seed failed
 
 
 def changed_links_of(

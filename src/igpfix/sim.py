@@ -317,7 +317,10 @@ def simulate(
     finite). Its witness is rebuilt by replaying the schedule.
     Undetermined: max_steps exhausted without either verdict.
     """
-    enc = _Encoded(pspp)
+    enc = pspp._encoded
+    if enc is None:  # encoded once per instance, then shared by every run
+        enc = _Encoded(pspp)
+        object.__setattr__(pspp, "_encoded", enc)
     if schedule is None:
         schedule = fair_schedule(enc.nodes, seed)
     if max_steps is None:

@@ -222,18 +222,18 @@ def _with_unknowns_filled(w: Mapping[LinkKey, Optional[int]]) -> dict[LinkKey, i
 
 
 def joint_objective(
-    inst: NetworkInstance,
-    demands: DemandMatrix,
     model: TECostModel,
     threshold: float,
     w_initial: Mapping[LinkKey, Optional[int]],
     weights: Mapping[LinkKey, int],
+    flow: FlowSolution,
     cfg: RepairConfig,
     jcfg: JointConfig,
     w_max: int,
     n_links: int,
 ) -> tuple[float, float]:
-    """(joint objective, TE cost) of one candidate weight assignment.
+    """(joint objective, TE cost) of one candidate weight assignment, given
+    its shortest-path flow.
 
     The TE term penalizes only the total cost in excess of the baseline
     scaled by (1 + gamma/100); within tolerance it contributes 0, so an
@@ -245,7 +245,6 @@ def joint_objective(
     for k, init in w_initial.items():
         if init is not None:
             change += h_cost(weights[k] - init, cfg, w_max, n_links)
-    flow = solve_flow(inst, demands, weights)
     cost = te_cost(flow, model)
     return change + jcfg.m_prime * max(0.0, cost - threshold), cost
 
@@ -267,19 +266,28 @@ def solve_joint_unequal(
     joint objective. Falls back to the exact integer solve when rounding
     cannot be made feasible, and raises InfeasibleRepairError at once when
     the relaxation proves that solve infeasible. Candidates listed in
-    exclude are rejected (used for alternative-start generation).
+    exclude are rejected (used for alternative-start generation). Each
+    distinct weight vector is routed once. When the exact seed finds the
+    mandates infeasible, the result's exact_seed_skipped says why.
     """
     sys = build_system(inst, prefs)
     eps, big_m, w_max = cfg.resolved(sys, max(len(w_initial), 1))
     model = cost_model_for(inst)
-    w_base = _with_unknowns_filled(w_initial)
-    base_flow = solve_flow(inst, demands, w_base)
-    base_cost = te_cost(base_flow, model)
+    flows: dict[tuple, FlowSolution] = {}
+
+    def flow_of(w: Mapping[LinkKey, int]) -> FlowSolution:
+        key = tuple(sorted(w.items()))
+        if key not in flows:
+            flows[key] = solve_flow(inst, demands, w)
+        return flows[key]
+
+    base_cost = te_cost(flow_of(_with_unknowns_filled(w_initial)), model)
     threshold = base_cost * (1 + jcfg.gamma / 100.0)
     excluded = {tuple(sorted(e.items())) for e in exclude}
     rng = random.Random(jcfg.seed)
 
     candidates: list[tuple[dict[LinkKey, int], str]] = []
+    exact_seed_skipped = None
     if jcfg.exact_budget > 0:
         try:
             exact = solve_min_change(
@@ -288,8 +296,8 @@ def solve_joint_unequal(
                              min_weight=max(1, cfg.min_weight)),
             )
             candidates.append((exact.weights, "exact"))
-        except InfeasibleRepairError:
-            pass  # seeding only; the relaxation path may still succeed
+        except InfeasibleRepairError as exc:
+            exact_seed_skipped = str(exc)  # seeding only; the relaxation may still succeed
 
     # without a candidate the fallback below is solve_min_change, whose
     # integer points this relaxation contains when its w_max is at most
@@ -303,7 +311,7 @@ def solve_joint_unequal(
             current = rounded
             for it in range(jcfg.iterations):
                 try:
-                    flow = solve_flow(inst, demands, current)
+                    flow = flow_of(current)
                 except ValidationError:
                     break
                 push = {}
@@ -336,7 +344,7 @@ def solve_joint_unequal(
             continue
         try:
             obj, cost = joint_objective(
-                inst, demands, model, threshold, w_initial, weights, cfg, jcfg,
+                model, threshold, w_initial, weights, flow_of(weights), cfg, jcfg,
                 w_max, len(w_initial),
             )
         except WeightError:
@@ -359,4 +367,5 @@ def solve_joint_unequal(
         stage=stage,
         te_cost_before=base_cost,
         te_cost_after=cost,
+        exact_seed_skipped=exact_seed_skipped,
     )

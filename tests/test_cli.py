@@ -5,12 +5,14 @@ import pytest
 
 from igpfix.cli import main
 from igpfix.netmodel import (
+    WaxmanParams,
     assign_random_weights,
+    generate_waxman,
     random_demands,
     save_demands,
     save_instance,
 )
-from igpfix.scenarios import two_prefix_med
+from igpfix.scenarios import inject_med_conflicts, two_prefix_med
 
 
 def _write_fixture(tmp_path, seed):
@@ -147,3 +149,56 @@ def test_config_env_sets_defaults(tmp_path, capsys, monkeypatch):
     assert main(["check", topo, "--routes", routes]) == 0
     monkeypatch.setenv("IGPFIX_CONFIG", str(tmp_path / "absent.json"))
     assert main(["check", topo, "--routes", routes]) == 1
+
+
+def _write_waxman_fixture(tmp_path):
+    """Waxman n=20 with two MED conflicts, whose demands put the joint
+    solution above the TE tolerance, so that a best-of search iterates."""
+    base = generate_waxman(WaxmanParams(n=20, seed=0), w_max=20)
+    routes = inject_med_conflicts(base, 2, seed=0)
+    inst = base.with_weights(assign_random_weights(base, seed=0))
+    topo, rcsv, dem = (str(tmp_path / f) for f in ("wax.json", "wax_routes.csv", "wax_dem.csv"))
+    save_instance(inst, topo)
+    with open(rcsv, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["prefix", "egress", "neighbor_as", "med"])
+        for r in routes:
+            wr.writerow([r.prefix, r.egress, r.neighbor_as, r.med])
+    save_demands(random_demands(inst, pairs=40, seed=2), dem)
+    return topo, rcsv, dem
+
+
+@pytest.mark.parametrize("search_mode", ["best-of", "first-wins"])
+def test_repair_equal_mode_deterministic_while_searching(tmp_path, capsys, search_mode):
+    """Two runs give the same report in both search modes: the starts are
+    searched one after another, not on threads."""
+    topo, routes, dem = _write_waxman_fixture(tmp_path)
+    args = ["repair", topo, "--routes", routes, "--hop-bound", "2",
+            "--mode", "equal", "--demands", dem, "--starts", "2", "--seed", "0",
+            "--gamma", "0", "--search-mode", search_mode]
+    docs = []
+    for _ in range(2):
+        assert main(args) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+        docs[-1].pop("timings")
+    assert docs[0] == docs[1]
+    search = docs[0]["stages"]["search"]
+    assert search["stop_reason"] == "threshold"
+    if search_mode == "best-of":
+        assert search["iterations"] > 0 and search["neighbours_scored"] > 0
+
+
+def test_repair_unequal_reports_a_skipped_exact_seed(tmp_path, capsys, monkeypatch):
+    import igpfix.te as te
+    from igpfix.repair import InfeasibleRepairError
+
+    def infeasible(*args, **kwargs):
+        raise InfeasibleRepairError("seed found no assignment")
+
+    monkeypatch.setattr(te, "solve_min_change", infeasible)
+    topo, routes, dem = _write_fixture(tmp_path, UNSAFE_SEED)
+    assert main(["repair", topo, "--routes", routes, "--hop-bound", "2",
+                 "--mode", "unequal", "--demands", dem]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stages"]["joint"]["exact_seed_skipped"] == "seed found no assignment"
+    assert set(doc["timings"]) == {"joint"}

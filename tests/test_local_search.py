@@ -1,7 +1,6 @@
 import pytest
 
 import json
-import threading
 
 from igpfix.bgp_prefs import MandatedPreferences, derive_med_preferences
 from igpfix.local_search import (
@@ -22,7 +21,7 @@ from igpfix.netmodel import (
 )
 from igpfix.paths import WeightError
 from igpfix.repair import RepairConfig, VerificationRecord, verify_solution
-from igpfix.scenarios import two_prefix_med
+from igpfix.scenarios import random_pref_paths, two_prefix_med
 from igpfix.te import JointConfig, cost_model_for
 
 from oracles import enum_equal_split_loads, random_small_instance, search_py
@@ -214,11 +213,6 @@ def test_search_reports_work_and_stop_reason():
     done = search(inst, dm, prefs, start, SearchConfig(gamma=1e6, seed=0))
     assert (done.stop_reason, done.neighbours_scored, done.destinations_recomputed) == (
         "threshold", 0, 0)
-    stop = threading.Event()
-    stop.set()
-    halted = search(inst, dm, prefs, start, SearchConfig(gamma=0.0, seed=0), baseline_cost=0.0,
-                    stop=stop)
-    assert (halted.stop_reason, halted.iterations) == ("stopped", 0)
 
 
 def test_parallel_search_computes_the_baseline_once(monkeypatch):
@@ -236,3 +230,90 @@ def test_parallel_search_computes_the_baseline_once(monkeypatch):
     best = parallel_search(inst, dm, prefs, [s1, s2], cfg, mode="best-of")
     assert seen == [alone.te_cost_before] * 2
     assert best.te_cost_before == alone.te_cost_before
+
+
+def _fw_case(seed):
+    """A tie-heavy random graph, four random starts and no mandates."""
+    inst = random_small_instance(seed, n_lo=8, n_hi=10, w_max=6)
+    dm = random_demands(inst, pairs=12, seed=seed)
+    dm = DemandMatrix({k: 4 * v for k, v in dm.entries.items()})
+    starts = [assign_random_weights(inst, seed=100 * seed + j, low=1, high=6) for j in range(4)]
+    return inst, dm, MandatedPreferences({}, {}), starts
+
+
+def test_first_wins_matches_every_start_run_to_the_end():
+    """first-wins returns the search that reaches the threshold in the fewest
+    iterations, the lower start index breaking ties, as found by running
+    every start uncapped; with no such search, the least-cost result. Two
+    runs give the same weights."""
+    contested = fallback = 0
+    for seed in (0, 1, 2):
+        inst, dm, prefs, starts = _fw_case(seed)
+        lowest = min(ecmp_cost(inst, dm, s) for s in starts)
+        for q in (0.6, 0.75, 0.9):
+            base = q * lowest
+            full = [
+                search(inst, dm, prefs, s,
+                       SearchConfig(gamma=0.0, max_iters=25, frac_start=0.2, seed=seed + i),
+                       w_initial=starts[0], baseline_cost=base)
+                for i, s in enumerate(starts)
+            ]
+            hits = sorted((r.iterations, i) for i, r in enumerate(full) if r.early_terminated)
+            if hits:
+                want = full[hits[0][1]]
+            else:
+                want = min(full, key=lambda r: (r.objective, tuple(sorted(r.weights.items()))))
+            cfg = SearchConfig(gamma=0.0, max_iters=25, frac_start=0.2, seed=seed)
+            runs = [parallel_search(inst, dm, prefs, starts, cfg, mode="first-wins",
+                                    w_initial=starts[0], baseline_cost=base) for _ in range(2)]
+            assert runs[0].weights == runs[1].weights == want.weights, (seed, q)
+            assert (runs[0].iterations, runs[0].objective, runs[0].early_terminated) == (
+                want.iterations, want.objective, want.early_terminated)
+            contested += len(hits) >= 2 and hits[0][1] > 0
+            fallback += not hits
+    assert contested >= 2 and fallback >= 1
+
+
+def test_mandate_filter_keeps_exactly_the_moves_mandates_hold_keeps(monkeypatch):
+    """Over every sampled move that search tests against the mandates, the
+    integer gap product keeps a move iff _mandates_hold keeps the weights it
+    leads to; the weights it tests from are the incumbent's."""
+    import igpfix.local_search as ls
+
+    calls = []
+    keeps, route = ls._keeps_mandates, ls.route_moves
+
+    def keeps_spy(inc, gaps, w, cols, vals):
+        keep = keeps(inc, gaps, w, cols, vals)
+        calls.append(["filter", w.tolist(), cols.tolist(), vals.tolist(), keep.tolist()])
+        return keep
+
+    def route_spy(base, links, weights):
+        ga = base.ga
+        calls.append(["route", dict(zip(ga.links, base.arc_weight[ga.link_arcs[:, 0]].tolist()))])
+        return route(base, links, weights)
+
+    monkeypatch.setattr(ls, "_keeps_mandates", keeps_spy)
+    monkeypatch.setattr(ls, "route_moves", route_spy)
+    kept = dropped = 0
+    for seed in range(4):
+        inst = random_small_instance(seed, n_lo=9, n_hi=11, w_max=8)
+        inst = inst.with_weights(assign_random_weights(inst, seed=seed))
+        prefs = random_pref_paths(inst, n_paths=14, seed=seed)
+        dm = random_demands(inst, pairs=12, seed=seed)
+        start = generate_starts(inst, dm, prefs, inst.initial_weights(), 1,
+                                RepairConfig(min_weight=1), JointConfig(exact_budget=0.0))[0]
+        calls.clear()
+        search(inst, dm, prefs, start,
+               SearchConfig(gamma=0.0, max_iters=6, frac_start=0.5, seed=seed),
+               baseline_cost=0.0)
+        links = sorted(start)
+        assert len(calls) == 12
+        for (_, w, cols, vals, keep), (_, routed) in zip(calls[::2], calls[1::2]):
+            cur = dict(zip(links, w))
+            assert cur == routed
+            for c, v, k in zip(cols, vals, keep):
+                assert k == _mandates_hold(prefs, {**cur, links[c]: v}), (seed, links[c], v)
+                kept += k
+                dropped += not k
+    assert kept > 50 and dropped > 50

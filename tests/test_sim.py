@@ -266,3 +266,26 @@ def test_weights_to_pspp_requires_known_egresses(six_node):
         weights_to_pspp(inst, None, w, "nope")
     pspp = weights_to_pspp(inst, None, w, "direct", egresses=["B"])
     assert pspp.egresses == frozenset({"B"})
+
+
+def test_simulate_encodes_each_instance_once(monkeypatch):
+    """Runs of one instance share its encoding, and give the outcomes of
+    runs on a fresh copy; a copy made with dataclasses.replace encodes anew."""
+    import dataclasses
+
+    import igpfix.sim as sim
+
+    built = []
+    real = sim._Encoded
+    monkeypatch.setattr(sim, "_Encoded", lambda pspp: built.append(pspp) or real(pspp))
+    pspp = _bad_gadget()
+    outs = [simulate(pspp, seed=seed) for seed in range(4)]
+    assert built == [pspp]
+    assert outs == [simulate(_bad_gadget(), seed=seed) for seed in range(4)]
+    assert len(built) == 5
+    copy = dataclasses.replace(pspp, order=None)
+    assert simulate(copy, seed=0) == outs[0] and built[-1] is copy
+    # a copy under other preferences derives its own ranks, leaving these be
+    good = dataclasses.replace(pspp, prefs=_good_gadget().prefs)
+    assert good.ranked("x") == (("x", "e"), ("x", "y", "e"))
+    assert pspp.ranked("x") == (("x", "y", "e"), ("x", "e"))

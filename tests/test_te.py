@@ -178,9 +178,10 @@ def test_joint_objective_penalizes_only_excess():
     w = {k: v for k, v in inst.initial_weights().items()}
     cfg, jcfg = RepairConfig(min_weight=1), JointConfig(gamma=0.0)
     from igpfix.te import solve_flow as sf
-    base = te_cost(sf(inst, dm, w), model)
-    obj, cost = joint_objective(inst, dm, model, base * 2, inst.initial_weights(),
-                                w, cfg, jcfg, inst.w_max, len(w))
+    flow = sf(inst, dm, w)
+    base = te_cost(flow, model)
+    obj, cost = joint_objective(model, base * 2, inst.initial_weights(), w, flow,
+                                cfg, jcfg, inst.w_max, len(w))
     assert cost == pytest.approx(base)
     assert obj == 0.0  # no change, cost below threshold
 
@@ -265,3 +266,51 @@ def test_joint_keeps_the_fallback_when_its_w_max_exceeds_the_lp(monkeypatch):
         solve_joint_unequal(inst, dm, prefs, w0, RepairConfig(min_weight=1, w_max=200),
                             JointConfig(exact_budget=0.0))
     assert len(calls) == 1
+
+
+def test_joint_routes_each_weight_vector_once(monkeypatch):
+    """The base flow, the push loop and candidate scoring share one routing
+    per distinct weight vector, and the result is unchanged: the expected
+    values are those of the solver that routed every candidate again."""
+    import igpfix.te as te
+
+    seen = []
+    real = te.route_demands
+
+    def spy(inst, demands, w, split=None):
+        seen.append(tuple(sorted(w.items())))
+        return real(inst, demands, w, split)
+
+    monkeypatch.setattr(te, "route_demands", spy)
+    inst, dm, prefs = _joint_setup()
+    cases = [
+        (JointConfig(gamma=10.0, exact_budget=1.0), "exact", 18.0, 2,
+         {("A", "R"): 5, ("B", "R"): 4, ("C", "S"): 3, ("R", "S"): 13, ("R", "T"): 6,
+          ("S", "T"): 14}),
+        (JointConfig(gamma=0.0, exact_budget=0.0), "relaxed+rounded", 36.0, 1,
+         {("A", "R"): 2, ("B", "R"): 1, ("C", "S"): 3, ("R", "S"): 13, ("R", "T"): 6,
+          ("S", "T"): 14}),
+    ]
+    for jcfg, stage, objective, n_changed, weights in cases:
+        seen.clear()
+        sol = solve_joint_unequal(inst, dm, prefs, inst.initial_weights(),
+                                  RepairConfig(min_weight=1), jcfg)
+        assert len(seen) == len(set(seen)) >= 3
+        assert (sol.stage, sol.objective, sol.n_changed, sol.weights) == (
+            stage, objective, n_changed, weights)
+        assert sol.te_cost_before == sol.te_cost_after == 15878.848472052257
+        assert sol.exact_seed_skipped is None
+
+
+def test_joint_records_a_skipped_exact_seed(monkeypatch):
+    import igpfix.te as te
+
+    def infeasible(*args, **kwargs):
+        raise InfeasibleRepairError("no integer assignment within the seed's budget")
+
+    monkeypatch.setattr(te, "solve_min_change", infeasible)
+    inst, dm, prefs = _joint_setup()
+    sol = solve_joint_unequal(inst, dm, prefs, inst.initial_weights(),
+                              RepairConfig(min_weight=1), JointConfig(gamma=0.0, exact_budget=1.0))
+    assert sol.exact_seed_skipped == "no integer assignment within the seed's budget"
+    assert sol.stage == "relaxed+rounded" and sol.realized.ok
