@@ -217,8 +217,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             w = assign_random_weights(inst, seed=seed)
             inst = inst.with_weights(w)
             demands = random_demands(inst, pairs=2 * n, seed=seed)
-            prefs = random_pref_paths(inst, n_paths=args.paths, n_prefs=args.prefs_count,
-                                      seed=seed)
+            n_paths = args.paths if args.paths is not None else min(40, n)
+            prefs = random_pref_paths(inst, n_paths=n_paths, n_prefs=args.prefs_count, seed=seed)
             sys_ = build_system(inst, prefs)
             cfg = RepairConfig(time_budget=args.budget, min_weight=1)
             jcfg = JointConfig(gamma=args.gamma, seed=seed, exact_budget=0.0)
@@ -282,7 +282,8 @@ def build_parser(defaults: Optional[dict[str, Any]] = None) -> argparse.Argument
     pb = sub.add_parser("bench", help="timing benchmark on random topologies")
     pb.add_argument("--sizes", default=d.get("sizes", "20,30,40,60,70"))
     pb.add_argument("--seeds", default=d.get("seeds", "0"))
-    pb.add_argument("--paths", type=int, default=d.get("paths", 40))
+    pb.add_argument("--paths", type=int, default=d.get("paths"),
+                    help="random mandated paths per instance (default min(40, n))")
     pb.add_argument("--prefs-count", type=int, default=d.get("prefs_count"))
     pb.add_argument("--gamma", type=float, default=d.get("gamma", 10.0))
     pb.add_argument("--starts", type=int, default=d.get("starts", 2))

@@ -4,8 +4,8 @@ The feasibility system ties a potential (the path's total weight) to every
 mandated path and suffix; mandated pairs become strict integer gaps realized
 by virtual weights. The exact solver is a branch-and-bound over the
 constrained integer link weights. Bellman-Ford over the potential difference
-system tightens the link domains, and the cheapest change left inside them
-bounds the cost.
+system tightens the link domains. The cheapest change left inside them bounds
+the cost, and on a cost tie the cheapest values bound the whole tie-break key.
 """
 
 from __future__ import annotations
@@ -282,7 +282,9 @@ class _DiffGraph:
         cp = c[perm]
         for _ in range(self.n + 1):
             new = np.minimum.reduceat(dist[tails] + cp, starts)
-            if not (new < dist).any():  # the self-loops keep new <= dist
+            # the self-loops keep new <= dist, so equal bytes mean a fixed
+            # point (the sums of these costs make no -0.0 and no NaN)
+            if new.tobytes() == dist.tobytes():
                 return dist, True
             dist = new
         return dist, False
@@ -363,17 +365,24 @@ def solve_min_change(
     """Exact branch-and-bound minimizing the total change cost.
 
     Ties break by fewest changed links, then by the lexicographically
-    smallest weight vector over the constrained links. Unconstrained links
-    keep their initial weight (unknowns get 1). A subtree is cut when its
-    cost so far plus, for every unassigned link, the cheapest change inside
-    its propagated domain exceeds the incumbent's cost; cutting only on a
-    strict excess keeps every optimal leaf, so the tie-break holds. On
-    budget exhaustion the best incumbent is returned with budget_exceeded
-    set; with no incumbent, an infeasible LP relaxation still proves the
-    mandates infeasible.
+    smallest weight vector over the constrained links: the answer is the
+    leaf with the least key (cost, changed links, vector). Unconstrained
+    links keep their initial weight (unknowns get 1). A subtree's cost floor
+    is its cost so far plus, for every unassigned link, the cheapest change
+    inside its domain; the subtree is cut when the floor exceeds the
+    incumbent's cost. When the floor equals it, a leaf below can only tie
+    on cost by giving every link a cheapest value of its domain, which
+    bounds that leaf's changed links and vector from below; the subtree is
+    also cut when that bound is no less than the incumbent's key. Both cuts
+    are tested on the parent's domains with the candidate fixed, and again
+    on the child's propagated domains. No cut drops a leaf whose key is
+    below the incumbent's, so the answer is the least key. On budget
+    exhaustion the best incumbent is returned with budget_exceeded set;
+    with no incumbent, an infeasible LP relaxation still proves the mandates
+    infeasible.
     """
     n_links = max(len(w_initial), 1)
-    _, _, w_max = cfg.resolved(sys, n_links)
+    eps, _, w_max = cfg.resolved(sys, n_links)
     deadline = time.monotonic() + cfg.time_budget
     dg = _DiffGraph(sys)
     links = sys.links
@@ -397,6 +406,7 @@ def solve_min_change(
     ]
     cost_arr = np.array(cost, dtype=float).reshape(len(links), w_max + 1)
     target = np.array([0 if w0 is None else w0 for w0 in init], np.int64)
+    known = np.array([w0 is not None for w0 in init], bool)
     # prefer cheap moves; among zero-cost options avoid weight 0 (ECMP
     # rejects it) before falling back to it
     ranked = [sorted(range(w_max + 1), key=lambda v: (row[v], v == 0, v)) for row in cost]
@@ -408,13 +418,30 @@ def solve_min_change(
     def bound(lo: np.ndarray, hi: np.ndarray, rest: np.ndarray) -> float:
         # the change cost grows with |delta|, so each link's cheapest value
         # is the one nearest its initial weight
-        return float(cost_arr[rest, np.clip(target[rest], lo[rest], hi[rest])].sum())
+        near = np.minimum(np.maximum(target[rest], lo[rest]), hi[rest])
+        return float(cost_arr[rest, near].sum())
 
     best: Optional[tuple[float, int, tuple[int, ...]]] = None
+    best_vec: Optional[np.ndarray] = None  # best[2] as an array
     budget_hit = False
 
+    def ties_lose(lo: np.ndarray, hi: np.ndarray) -> bool:
+        # True when no leaf below domains lo..hi that costs exactly the
+        # incumbent's cost has a smaller key. Such a leaf gives each link a
+        # cheapest value of its domain: the initial weight when the domain
+        # holds it, else the nearer end while that is within epsilon; past
+        # epsilon every value costs big_m and an unknown initial weight makes
+        # every value free, so lo bounds it there. A fixed link gets its value.
+        near = np.minimum(np.maximum(target, lo), hi)
+        vec = np.where(np.abs(near - target) < eps, near, lo)
+        changed = int(np.count_nonzero(known & (near != target)))
+        if changed != best[1]:
+            return changed > best[1]
+        diff = np.flatnonzero(vec != best_vec)
+        return diff.size == 0 or vec[diff[0]] > best_vec[diff[0]]
+
     def dfs(idx: int, c0: float, lo: np.ndarray, hi: np.ndarray, dist) -> None:
-        nonlocal best, budget_hit, nodes
+        nonlocal best, best_vec, budget_hit, nodes
         if time.monotonic() > deadline:
             budget_hit = True
             return
@@ -424,7 +451,7 @@ def solve_min_change(
                 n_changed = sum(1 for w0, v in zip(init, vec) if w0 is not None and v != w0)
                 key = (c0, n_changed, vec)
                 if best is None or key < best:
-                    best = key
+                    best, best_vec = key, lo
             return
         i, rest = order[idx], rests[idx]
         floor = bound(lo, hi, rest)
@@ -437,12 +464,16 @@ def solve_min_change(
                 break  # candidates sorted by cost: nothing cheaper follows
             clo, chi = lo.copy(), hi.copy()
             clo[i] = chi[i] = v
+            if best is not None and c + floor == best[0] and ties_lose(clo, chi):
+                continue
             nodes += 1
             child = dg.propagate(clo, chi, dist)
             if child is None:
                 continue
-            if best is not None and c + bound(child[0], child[1], rest) > best[0]:
-                continue
+            if best is not None:
+                c_floor = c + bound(child[0], child[1], rest)
+                if c_floor > best[0] or (c_floor == best[0] and ties_lose(child[0], child[1])):
+                    continue
             dfs(idx + 1, c, *child)
             if budget_hit:
                 return

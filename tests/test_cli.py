@@ -141,6 +141,18 @@ def test_bench_small_csv(tmp_path):
     assert int(rows[0]["n"]) == 8 and float(rows[0]["solver_time"]) >= 0
 
 
+def test_bench_readme_example_with_default_paths(tmp_path):
+    # --paths defaults to min(40, n); 40 random paths at n=20 admit no
+    # feasible preference set
+    out = str(tmp_path / "bench.csv")
+    assert main(["bench", "--sizes", "20,40,60", "--seeds", "0,1", "--out", out]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert [(int(r["n"]), int(r["seed"])) for r in rows] == [
+        (n, s) for n in (20, 40, 60) for s in (0, 1)
+    ]
+    assert main(["bench", "--sizes", "20", "--seeds", "0", "--paths", "40"]) == 1
+
+
 def test_config_env_sets_defaults(tmp_path, capsys, monkeypatch):
     topo, routes, _ = _write_fixture(tmp_path, SAFE_SEED)
     cfgp = tmp_path / "cfg.json"

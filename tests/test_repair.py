@@ -113,11 +113,15 @@ def test_solve_min_change_tie_break_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "cfg", [RepairConfig(), RepairConfig(epsilon=1, big_m=100)], ids=["quadratic", "count"]
+    "cfg",
+    [RepairConfig(), RepairConfig(epsilon=1, big_m=100), RepairConfig(epsilon=2, big_m=9),
+     RepairConfig(epsilon=3, big_m=10)],
+    ids=["quadratic", "count", "eps2", "eps3"],
 )
 def test_solve_min_change_matches_exhaustive_key(cfg):
     # the full key: cost, then fewest changed links, then the smallest
-    # vector; with epsilon=1 every change costs the same, so ties are common
+    # vector; with epsilon=1 every change costs the same, so ties are common,
+    # and epsilon 2 and 3 step from quadratic costs to big_m inside w_max
     checked = 0
     for seed in range(400):
         inst = random_small_instance(seed, 4, 6, w_max=5)
@@ -143,6 +147,29 @@ def test_solve_min_change_matches_exhaustive_key(cfg):
         if checked == 50:
             break
     assert checked == 50
+
+
+def test_tie_cut_bounds_a_domain_one_epsilon_below_by_its_low_end():
+    # s must prefer s-b over s-b-c over s-a; every link starts at 4. Two
+    # changes are needed, and the least vector over (a-s, b-c, b-s) is
+    # (4, 1, 0). After s-b = 0 and s-a = 4, b-c's domain is [1, 3], exactly
+    # epsilon below its initial weight: every value there costs big_m, so a
+    # leaf that ties on cost may take 1. Bounding b-c by the nearer end 3
+    # instead would cut that subtree once (4, 1, 1) is the incumbent.
+    inst = NetworkInstance(
+        ("a", "b", "c", "s"),
+        (Link("s", "a", 4, 1.0), Link("b", "c", 4, 1.0), Link("s", "b", 4, 1.0)),
+        5,
+    )
+    prefs = preferences_from_pairs({"p": {
+        (("s", "b"), ("s", "b", "c")), (("s", "b", "c"), ("s", "a")), (("s", "b"), ("s", "a")),
+    }})
+    sys_ = build_system(inst, prefs)
+    cfg = RepairConfig(epsilon=1, big_m=100)
+    want = min_change_key(sys_, prefs, inst.initial_weights(), cfg)
+    assert want == (200.0, 2, (4, 1, 0))
+    sol = solve_min_change(sys_, inst.initial_weights(), cfg)
+    assert (sol.objective, sol.n_changed, tuple(sol.weights[k] for k in sys_.links)) == want
 
 
 def test_changed_count_breaks_cost_ties():
@@ -174,6 +201,24 @@ def test_realized_record_is_verify_solution():
     inst, prefs = _line4(), _prefs()
     bad = {("a", "r"): 5, ("b", "r"): 1, ("r", "s"): 1, ("c", "s"): 1}
     assert _verify_rows(build_system(inst, prefs), bad) == verify_solution(inst, prefs, bad)
+
+
+def test_census_repairs_match_exhaustive_key_with_fewer_nodes():
+    # the census vectors among seeds 1000-1027 whose weights need a repair,
+    # under the change count; cutting only on a strict cost excess took
+    # 1194 propagations over them, the tie cut takes 102
+    cfg = RepairConfig(epsilon=1, big_m=100, min_weight=1)
+    nodes = 0
+    for seed in (1001, 1007, 1014, 1015, 1016, 1018, 1019, 1021, 1022, 1024, 1026, 1027):
+        inst, prefs = _census(seed)
+        sys_ = build_system(inst, prefs)
+        w0 = inst.initial_weights()
+        sol = solve_min_change(sys_, w0, cfg)
+        got = (sol.objective, sol.n_changed, tuple(sol.weights[k] for k in sys_.links))
+        assert got == min_change_key(sys_, prefs, w0, cfg), f"seed {seed}"
+        assert sol.objective > 0
+        nodes += sol.nodes
+    assert nodes < 1194
 
 
 def test_node_count_repeats():
