@@ -4,15 +4,17 @@ An instance holds, per node, the permitted paths toward a destination prefix
 and a partial preference order on them. The prefix may be reachable through
 several egress nodes; the empty path at each egress anchors the structure.
 Safety is acyclicity of the path digraph; a rank witness is a numeric
-linearization of it.
+linearization of it. Both are decided on a subgraph with the same
+reachability, which build_path_digraph derives from each node's preference
+order without listing its pairs.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Optional
+from itertools import accumulate, chain
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -39,33 +41,145 @@ def _transitive_closure(pairs: Iterable[PrefPair]) -> set[PrefPair]:
     return {(a, b) for a, bs in succ.items() for b in bs}
 
 
-def _beaten_counts(
-    pairs: frozenset[PrefPair], paths: tuple[RoutePath, ...]
-) -> Optional[dict[RoutePath, int]]:
-    """How many pairs beat each path, when pairs order every pair of the
-    distinct paths exactly once (a tournament); None otherwise. pairs must
-    hold no reflexive pair and no pair in both orientations."""
-    k = len(paths)
-    if len(pairs) != k * (k - 1) // 2:
-        return None
-    beaten = dict.fromkeys(paths, 0)
-    if len(beaten) != k:
-        return None
-    for a, b in pairs:
-        if a not in beaten or b not in beaten:
-            return None
-        beaten[b] += 1
-    return beaten
-
-
 def _by_score(beaten: Mapping[RoutePath, int]) -> Optional[tuple[RoutePath, ...]]:
     """The paths best-first when they are beaten 0, 1, ..., k-1 times, else
-    None. For a tournament that holds iff it is transitive (Landau 1953);
-    for an antisymmetric relation iff it orders every pair."""
+    None. For an antisymmetric relation that holds iff it orders every pair."""
     ranked = sorted(beaten, key=beaten.__getitem__)
     if all(beaten[p] == i for i, p in enumerate(ranked)):
         return tuple(ranked)
     return None
+
+
+class OrderedPrefs(Mapping[str, frozenset[PrefPair]]):
+    """Per-node tournaments, each stated as a best-first order plus the pairs
+    that invert it.
+
+    orders[v] lists v's paths; (p, q) in exceptions[v] means that p beats q
+    although orders[v] lists q first. Every other pair follows the order. So
+    a path is beaten by as many paths as precede it, less one per exception
+    it wins and plus one per exception it loses, and the node is transitive
+    iff those counts are 0, 1, ..., k-1 (Landau 1953). As a mapping it reads
+    like a relation given as pair sets: a node's frozenset of (better,
+    worse) pairs is built on first access, for readers that want pairs.
+    """
+
+    def __init__(
+        self,
+        orders: Mapping[str, tuple[RoutePath, ...]],
+        exceptions: Optional[Mapping[str, AbstractSet[PrefPair]]] = None,
+    ) -> None:
+        self.orders = orders
+        self.exceptions = exceptions if exceptions is not None else {}
+        self._pairs: dict[str, frozenset[PrefPair]] = {}
+        self._pos: dict[str, dict[RoutePath, int]] = {}
+
+    def __getitem__(self, v: str) -> frozenset[PrefPair]:
+        pairs = self._pairs.get(v)
+        if pairs is None:
+            order = self.orders[v]
+            flip = self.exceptions.get(v, frozenset())
+            # through a set, so that the frozenset is sized once
+            pairs = self._pairs[v] = frozenset({
+                (q, p) if (q, p) in flip else (p, q)
+                for i, p in enumerate(order)
+                for q in order[i + 1 :]
+            })
+        return pairs
+
+    def __contains__(self, v: object) -> bool:
+        return v in self.orders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.orders)
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def _position(self, v: str) -> dict[RoutePath, int]:
+        pos = self._pos.get(v)
+        if pos is None:
+            pos = self._pos[v] = {p: i for i, p in enumerate(self.orders[v])}
+        return pos
+
+    def beats(self, v: str, p: RoutePath, q: RoutePath) -> bool:
+        pos = self._position(v)
+        if p not in pos or q not in pos:
+            return False
+        exc = self.exceptions.get(v, ())
+        if (p, q) in exc:
+            return True
+        return pos[p] < pos[q] and (q, p) not in exc
+
+    def beaters(self, v: str) -> dict[RoutePath, set[RoutePath]]:
+        """Each path of v with the paths that beat it."""
+        order = self.orders[v]
+        out = {p: set(order[:j]) for j, p in enumerate(order)}
+        for a, b in self.exceptions.get(v, ()):
+            out[a].discard(b)
+            out[b].add(a)
+        return out
+
+    def best_first(self, v: str) -> Optional[tuple[RoutePath, ...]]:
+        """v's paths best-first when its tournament is transitive, else
+        None."""
+        order = self.orders[v]
+        exc = self.exceptions.get(v)
+        if not exc:
+            return order
+        pos = self._position(v)
+        beaten = list(range(len(order)))
+        for a, b in exc:
+            i, j = pos.get(a, -1), pos.get(b, -1)
+            if j < 0 or i <= j:
+                raise ValidationError(f"pair {a} over {b} at {v} does not invert its order")
+            beaten[i] -= 1
+            beaten[j] += 1
+        ranked: list = [None] * len(order)
+        for p, s in zip(order, beaten):
+            if ranked[s] is not None:
+                return None
+            ranked[s] = p
+        return tuple(ranked)
+
+    def three_cycle(self, v: str) -> tuple[RoutePath, RoutePath, RoutePath]:
+        """Three paths of a cyclic node, each beating the next and the last
+        beating the first."""
+        order = self.orders[v]
+        pos = self._position(v)
+        k = len(order)
+        won: list[set[int]] = [set() for _ in range(k)]  # beaten against the order
+        lost = [0] * k
+        for a, b in self.exceptions[v]:
+            won[pos[a]].add(pos[b])
+            lost[pos[b]] += 1
+        beaten = [j - len(won[j]) + lost[j] for j in range(k)]
+        by_score = sorted(range(k), key=beaten.__getitem__)
+        top = next(i for i, j in enumerate(by_score) if beaten[j] != i)
+
+        def beats(i: int, j: int) -> bool:
+            return j in won[i] or (i < j and i not in won[j])
+
+        # by_score[:top] beat each other in turn and every later path, so
+        # each later path is beaten by another later one. u, the first of
+        # them, is beaten by the fewest, and so some path u beats beats y:
+        # else y would be beaten by fewer than u
+        rest = by_score[top:]
+        u = rest[0]
+        y = next(j for j in rest if beats(j, u))
+        w = next(j for j in rest if beats(u, j) and beats(j, y))
+        return order[u], order[w], order[y]
+
+    def restrict(self, keep: AbstractSet[RoutePath], nodes: Iterable[str]) -> "OrderedPrefs":
+        """The sub-tournaments over the kept paths of the given nodes."""
+        nodes = set(nodes)
+        return OrderedPrefs(
+            {v: tuple(p for p in self.orders[v] if p in keep) for v in nodes},
+            {
+                v: frozenset((a, b) for a, b in exc if a in keep and b in keep)
+                for v, exc in self.exceptions.items()
+                if v in nodes
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -83,12 +197,13 @@ class PsppInstance:
     (decisive regardless of IGP distance); the simulator's selection rule
     eliminates mandate-dominated paths before comparing the rest.
 
-    A relation that orders every pair of permitted[v] exactly once (a
-    tournament, as weights_to_pspp builds) is never closed eagerly: it is
-    acyclic iff its paths are beaten 0, 1, ..., k-1 times, and then it is
-    its own closure and that count is each path's best-first rank. Other
-    relations are closed when the instance is built, and ranked the same
-    way on their closure when it orders every pair of permitted paths.
+    The representation is chosen by the prefs object. An OrderedPrefs (as
+    weights_to_pspp and from_total_orders build) orders every pair of each
+    node's permitted paths; its orders and exceptions decide each node with
+    no pair set, and a transitive node is its own closure. Any other
+    mapping holds pair sets, which are closed when the instance is built;
+    a node whose closure orders every pair of its permitted paths gets
+    best-first ranks from its closure's scores.
     """
 
     destination: str
@@ -114,32 +229,38 @@ class PsppInstance:
                     raise ValidationError(f"path {p} does not end at an egress")
                 if len(set(p)) != len(p):
                     raise ValidationError(f"path {p} is not simple")
+        if isinstance(self.prefs, OrderedPrefs):
+            self._decide_orders(self.prefs)
+            return
         for v, pairs in self.prefs.items():
             for a, b in pairs:
                 if a == b:
                     raise ValidationError(f"reflexive preference at {v}: {a}")
                 if (b, a) in pairs:
                     raise ValidationError(f"both orientations at {v}: {a} vs {b}")
-            beaten = _beaten_counts(pairs, self.permitted.get(v, ()))
-            if beaten is not None:
-                # a tournament: acyclic iff transitive iff its scores are
-                # 0..k-1; a cyclic one is closed only on demand
-                ranked = _by_score(beaten)
-                if ranked is None:
-                    self._cyclic.add(v)
-                else:
-                    self._closure[v] = pairs
-                    self._ranked[v] = ranked
-                continue
             closure = self._closure[v] = _transitive_closure(pairs)
             if any(a != b and (b, a) in closure for a, b in closure):
                 self._cyclic.add(v)
         for v, paths in self.permitted.items():
-            if v in self._ranked or v in self._cyclic:
+            if v in self._cyclic:
                 continue
             closure = self.pref_closure(v)
             ranked = _by_score({p: sum((q, p) in closure for q in paths) for p in paths})
             if ranked is not None and len(ranked) == len(paths):
+                self._ranked[v] = ranked
+
+    def _decide_orders(self, prefs: OrderedPrefs) -> None:
+        if len(prefs.orders) != len(self.permitted):
+            raise ValidationError("the preference orders do not cover exactly the permitted nodes")
+        for v, paths in self.permitted.items():
+            order = prefs.orders.get(v)
+            listed = set(order) if order is not None else None
+            if listed is None or len(listed) != len(order) or listed != set(paths):
+                raise ValidationError(f"the preference order at {v} does not list its permitted paths")
+            ranked = prefs.best_first(v)
+            if ranked is None:
+                self._cyclic.add(v)
+            else:
                 self._ranked[v] = ranked
 
     def pref_closure(self, v: str) -> AbstractSet[PrefPair]:
@@ -147,7 +268,11 @@ class PsppInstance:
         if c is None:
             if v not in self.prefs:
                 return set()
-            c = self._closure[v] = _transitive_closure(self.prefs[v])
+            if v in self._ranked and isinstance(self.prefs, OrderedPrefs):
+                c = self.prefs[v]  # a transitive tournament is its own closure
+            else:
+                c = _transitive_closure(self.prefs[v])
+            self._closure[v] = c
         return c
 
     def is_cyclic_at(self, v: str) -> bool:
@@ -159,6 +284,8 @@ class PsppInstance:
         return self._ranked.get(v)
 
     def strictly_prefers(self, v: str, p: RoutePath, q: RoutePath) -> bool:
+        if isinstance(self.prefs, OrderedPrefs):
+            return v in self.prefs and self.prefs.beats(v, p, q)
         raw = self.prefs.get(v, frozenset())
         if (p, q) in raw:
             return True
@@ -167,20 +294,22 @@ class PsppInstance:
         c = self.pref_closure(v)
         return (p, q) in c and (q, p) not in c
 
+    def beaters(self, v: str) -> dict[RoutePath, set[RoutePath]]:
+        """Each permitted path at v with the paths that beat it in the raw
+        relation."""
+        if isinstance(self.prefs, OrderedPrefs):
+            return self.prefs.beaters(v)
+        out: dict[RoutePath, set[RoutePath]] = {p: set() for p in self.permitted.get(v, ())}
+        for a, b in self.prefs.get(v, ()):
+            if b in out:
+                out[b].add(a)
+        return out
+
     def all_paths(self) -> list[RoutePath]:
         out: set[RoutePath] = set()
         for paths in self.permitted.values():
             out.update(paths)
         return sorted(out)
-
-    def is_total(self) -> bool:
-        for v, paths in self.permitted.items():
-            c = self.pref_closure(v)
-            for i, p in enumerate(paths):
-                for q in paths[i + 1 :]:
-                    if (p, q) not in c and (q, p) not in c:
-                        return False
-        return True
 
     def restrict(self, keep: Iterable[RoutePath]) -> "PsppInstance":
         """Sub-instance containing only the given paths."""
@@ -190,11 +319,14 @@ class PsppInstance:
             for v, paths in self.permitted.items()
         }
         permitted = {v: ps for v, ps in permitted.items() if ps}
-        prefs = {
-            v: frozenset((a, b) for a, b in self.prefs.get(v, frozenset())
-                         if a in keep and b in keep)
-            for v in permitted
-        }
+        if isinstance(self.prefs, OrderedPrefs):
+            prefs: Mapping[str, frozenset[PrefPair]] = self.prefs.restrict(keep, permitted)
+        else:
+            prefs = {
+                v: frozenset((a, b) for a, b in self.prefs.get(v, frozenset())
+                             if a in keep and b in keep)
+                for v in permitted
+            }
         order = None
         if self.order is not None:
             order = {v: tuple(p for p in self.order[v] if p in keep) for v in permitted}
@@ -221,23 +353,36 @@ def from_total_orders(
     """Instance with total preference orders given best-first per node."""
     order = {v: tuple(paths) for v, paths in order.items()}
     permitted = {v: tuple(sorted(paths)) for v, paths in order.items()}
-    prefs = {
-        v: frozenset(
-            (paths[i], paths[j])
-            for i in range(len(paths))
-            for j in range(i + 1, len(paths))
-        )
-        for v, paths in order.items()
-    }
-    return PsppInstance(destination, frozenset(egresses), permitted, prefs, order)
+    return PsppInstance(destination, frozenset(egresses), permitted, OrderedPrefs(order), order)
 
 
-@dataclass(frozen=True)
 class PathDigraph:
-    """Directed graph over paths: suffix arcs and strict-preference arcs."""
+    """Directed graph over paths: suffix arcs and strict-preference arcs.
 
-    paths: tuple[RoutePath, ...]
-    arcs: tuple[tuple[RoutePath, RoutePath, str], ...]  # (from, to, "suffix"|"pref")
+    Built by hand from its arcs, or by build_path_digraph, which keeps only
+    a reduced arc set and builds arcs, the full list of (from, to,
+    "suffix"|"pref") sorted by (from, to), on first access.
+    """
+
+    def __init__(self, paths: Iterable[RoutePath], arcs: Iterable[tuple[RoutePath, RoutePath, str]]) -> None:
+        self.paths = tuple(paths)
+        self._arcs: Optional[tuple[tuple[RoutePath, RoutePath, str], ...]] = tuple(arcs)
+        self._succ: Optional[_Successors] = None
+        self._pspp: Optional[PsppInstance] = None
+
+    @classmethod
+    def _reduced(cls, paths: tuple[RoutePath, ...], succ: _Successors, pspp: PsppInstance) -> "PathDigraph":
+        """A digraph held as reduced successor lists, whose full arc list
+        is built from pspp when read."""
+        dg = cls.__new__(cls)
+        dg.paths, dg._arcs, dg._succ, dg._pspp = paths, None, succ, pspp
+        return dg
+
+    @property
+    def arcs(self) -> tuple[tuple[RoutePath, RoutePath, str], ...]:
+        if self._arcs is None:
+            self._arcs = _full_arcs(self._pspp, self.paths)
+        return self._arcs
 
     def successors(self) -> dict[RoutePath, list[tuple[RoutePath, str]]]:
         succ: dict[RoutePath, list[tuple[RoutePath, str]]] = {p: [] for p in self.paths}
@@ -245,11 +390,36 @@ class PathDigraph:
             succ[a].append((b, kind))
         return succ
 
+    def _index_successors(self) -> _Successors:
+        """Successor lists over path indices: the reduced arcs of a built
+        digraph, else the arcs in their order."""
+        if self._succ is None:
+            index = {p: i for i, p in enumerate(self.paths)}
+            succ: list[list[int]] = [[] for _ in self.paths]
+            for a, b, _ in self.arcs:
+                succ[index[a]].append(index[b])
+            self._succ = _Successors(succ)
+        return self._succ
 
-def build_path_digraph(pspp: PsppInstance) -> PathDigraph:
-    """Arcs: immediate suffix -> extension, and strictly-preferred -> worse
-    among same-source permitted paths, sorted by (tail, head)."""
-    paths = tuple(pspp.all_paths())
+
+class _Successors:
+    """Successor lists packed into two flat arrays, a few bytes per arc:
+    the successors of node i are heads[offsets[i]:offsets[i + 1]]."""
+
+    def __init__(self, succ: list[list[int]]) -> None:
+        self.heads = array("q", chain.from_iterable(succ))
+        self.offsets = array("q", accumulate(map(len, succ), initial=0))
+
+
+def _pref_arcs(pspp: PsppInstance, v: str) -> list[PrefPair]:
+    """v's preference arcs in the full digraph: the pairs of its closure (a
+    cyclic node: its raw pairs) between its permitted paths."""
+    rel = pspp.prefs.get(v, ()) if pspp.is_cyclic_at(v) else pspp.pref_closure(v)
+    pv = set(pspp.permitted[v])
+    return [(p, q) for p, q in rel if p in pv and q in pv]
+
+
+def _full_arcs(pspp: PsppInstance, paths: tuple[RoutePath, ...]) -> tuple[tuple[RoutePath, RoutePath, str], ...]:
     index = {p: i for i, p in enumerate(paths)}
     n = len(paths)
     arcs: list[tuple[RoutePath, RoutePath, str]] = []
@@ -261,19 +431,52 @@ def build_path_digraph(pspp: PsppInstance) -> PathDigraph:
                 arcs.append((paths[j], p, "suffix"))
                 keys.append(j * n + i)
     for v in sorted(pspp.permitted):
-        # a cyclic relation contributes its raw pairs only
-        rel = pspp.prefs.get(v, ()) if pspp.is_cyclic_at(v) else pspp.pref_closure(v)
-        pv = set(pspp.permitted[v])
-        for p, q in rel:
-            if p in pv and q in pv:
-                arcs.append((p, q, "pref"))
-                keys.append(index[p] * n + index[q])
+        for p, q in _pref_arcs(pspp, v):
+            arcs.append((p, q, "pref"))
+            keys.append(index[p] * n + index[q])
     # paths are sorted, so the index pairs sort as the paths do; no suffix
     # arc joins two same-source paths, so no two arcs share a key. The
     # stable kind runs the sort code that repair and routing already use;
     # the default kind pages in about 0.3 MB more of numpy's code.
     order = np.argsort(np.frombuffer(keys, np.int64), kind="stable")
-    return PathDigraph(paths, tuple(arcs[k] for k in order))
+    return tuple(arcs[k] for k in order)
+
+
+def build_path_digraph(pspp: PsppInstance) -> PathDigraph:
+    """The path digraph: immediate suffix -> extension, and strictly
+    preferred -> worse among same-source permitted paths.
+
+    It holds a subgraph with the same reachability: the suffix arcs; at a
+    node whose relation orders its permitted paths totally, the chain of
+    that order; at a cyclic node of an OrderedPrefs relation, the three
+    arcs of one of its 3-cycles; at any other node, the arcs of the full
+    digraph. So its cycles are cycles of the full digraph, it has one
+    exactly when the full digraph does, and its longest-path ranks are the
+    full digraph's. arcs, the full list, is built on first access.
+    """
+    paths = tuple(pspp.all_paths())
+    index = {p: i for i, p in enumerate(paths)}
+    succ: list[list[int]] = [[] for _ in paths]
+    for p, i in index.items():
+        if len(p) > 1:
+            j = index.get(p[1:])
+            if j is not None:
+                succ[j].append(i)
+    ordered = isinstance(pspp.prefs, OrderedPrefs)
+    for v in sorted(pspp.permitted):
+        ranked = pspp.ranked(v)
+        if ranked is not None:
+            links = [index[p] for p in ranked]
+        elif ordered:  # an OrderedPrefs node is ranked or cyclic
+            links = [index[p] for p in pspp.prefs.three_cycle(v)]
+            links.append(links[0])
+        else:
+            for p, q in sorted(_pref_arcs(pspp, v)):
+                succ[index[p]].append(index[q])
+            continue
+        for a, b in zip(links, links[1:]):
+            succ[a].append(b)
+    return PathDigraph._reduced(paths, _Successors(succ), pspp)
 
 
 @dataclass(frozen=True)
@@ -288,66 +491,65 @@ class SafetyResult:
 
 def is_safe(dg: PathDigraph) -> SafetyResult:
     """Acyclicity check; returns a cycle witness or a rank witness."""
-    succ = dg.successors()
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {p: WHITE for p in dg.paths}
-    parent: dict[RoutePath, Optional[RoutePath]] = {}
-    for root in dg.paths:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[RoutePath, int]] = [(root, 0)]
-        parent[root] = None
-        color[root] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            nbrs = succ[node]
-            if idx < len(nbrs):
-                stack[-1] = (node, idx + 1)
-                nxt = nbrs[idx][0]
-                if color[nxt] == GRAY:
-                    # back edge: unwind the explicit stack for the cycle
-                    cyc = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cyc.append(cur)
-                        cur = parent[cur]
-                    cyc.reverse()
-                    return SafetyResult(False, tuple(cyc))
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return SafetyResult(True, None, _longest_ranks(dg, succ))
+    succ = dg._index_successors()
+    cycle, finished = _depth_first(succ)
+    if cycle is not None:
+        return SafetyResult(False, tuple(dg.paths[i] for i in cycle))
+    return SafetyResult(True, None, _longest_ranks(dg.paths, succ, finished))
 
 
 def rank_witness(dg: PathDigraph) -> dict[RoutePath, int]:
     """Longest-path ranks: rank strictly increases along every arc."""
-    return _longest_ranks(dg, dg.successors())
+    succ = dg._index_successors()
+    cycle, finished = _depth_first(succ)
+    if cycle is not None:
+        raise ValidationError("digraph is cyclic; no rank witness exists")
+    return _longest_ranks(dg.paths, succ, finished)
+
+
+def _depth_first(succ: _Successors) -> tuple[Optional[list[int]], list[int]]:
+    """(the cycle closed by the first back arc, []), or (None, every node in
+    the order its search finished) when there is no cycle."""
+    ON_STACK, DONE = 1, 2
+    off, heads = succ.offsets, succ.heads
+    state = bytearray(len(off) - 1)
+    finished: list[int] = []
+    for root in range(len(state)):
+        if state[root]:
+            continue
+        state[root] = ON_STACK
+        stack = [root]
+        nexts = [iter(heads[off[root] : off[root + 1]])]
+        while nexts:
+            for j in nexts[-1]:
+                if state[j] == ON_STACK:
+                    return stack[stack.index(j) :], []
+                if not state[j]:
+                    state[j] = ON_STACK
+                    stack.append(j)
+                    nexts.append(iter(heads[off[j] : off[j + 1]]))
+                    break
+            else:
+                nexts.pop()
+                j = stack.pop()
+                state[j] = DONE
+                finished.append(j)
+    return None, finished
 
 
 def _longest_ranks(
-    dg: PathDigraph, succ: Mapping[RoutePath, list[tuple[RoutePath, str]]]
+    paths: tuple[RoutePath, ...], succ: _Successors, finished: list[int]
 ) -> dict[RoutePath, int]:
-    indeg = {p: 0 for p in dg.paths}
-    for _, b, _ in dg.arcs:
-        indeg[b] += 1
-    ranks = {p: 0 for p in dg.paths}
-    queue = deque(sorted(p for p in dg.paths if indeg[p] == 0))
-    done = 0
-    while queue:
-        p = queue.popleft()
-        done += 1
-        for q, _ in succ[p]:
-            ranks[q] = max(ranks[q], ranks[p] + 1)
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                queue.append(q)
-    if done != len(dg.paths):
-        raise ValidationError("digraph is cyclic; no rank witness exists")
-    return ranks
+    """Longest-path ranks of an acyclic digraph, relaxed in topological
+    order (the reverse of the depth-first finishing order)."""
+    off, heads = succ.offsets, succ.heads
+    ranks = [0] * len(paths)
+    for i in reversed(finished):
+        r = ranks[i] + 1
+        for j in heads[off[i] : off[i + 1]]:
+            if ranks[j] < r:
+                ranks[j] = r
+    return dict(zip(paths, ranks))
 
 
 def validate_rank_witness(dg: PathDigraph, ranks: Mapping[RoutePath, float]) -> bool:

@@ -18,9 +18,9 @@ from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .bgp_prefs import MandatedPreferences
-from .netmodel import LinkKey, NetworkInstance, ValidationError
+from .netmodel import LinkKey, NetworkInstance, ValidationError, link_key
 from .paths import RoutePath, enumerate_paths_multi, is_empty, path_weight
-from .pspp import PsppInstance, _transitive_closure, from_total_orders
+from .pspp import OrderedPrefs, PsppInstance, from_total_orders
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,9 @@ class _Encoded:
         for v in self.nodes:
             if v not in pspp.permitted or not pspp.is_cyclic_at(v):
                 continue
-            raw = pspp.prefs.get(v, frozenset())
             listed = _node_order(pspp, v)
-            for p in pspp.permitted[v]:
-                self.beaters[pidx[p]] = [cand[pidx[q]] for q in listed if (q, p) in raw]
+            for p, beaten_by in pspp.beaters(v).items():
+                self.beaters[pidx[p]] = [cand[pidx[q]] for q in listed if q in beaten_by]
 
     def choose(self, v: int, sel: list[int]) -> int:
         """The path node v adopts when activated in state sel.
@@ -284,10 +283,9 @@ def step(state: ProtocolState, node: str, pspp: PsppInstance) -> ProtocolState:
     new: Optional[RoutePath] = None
     cur = sel.get(node)
     if pspp.is_cyclic_at(node) and cur is not None and available(cur):
-        raw = pspp.prefs.get(node, frozenset())
         new = cur
         for q in listed:
-            if (q, cur) in raw and available(q):
+            if pspp.strictly_prefers(node, q, cur) and available(q):
                 new = q
                 break
     else:
@@ -345,13 +343,41 @@ def trace(
 
 def _mandate_relation(
     prefs: MandatedPreferences, prefix: str
-) -> dict[RoutePath, set[RoutePath]]:
-    """Transitively closed mandated relation for one prefix (better -> worse)."""
-    closed = _transitive_closure(prefs.pairs.get(prefix, frozenset()))
-    succ: dict[RoutePath, set[RoutePath]] = {}
-    for a, b in closed:
-        succ.setdefault(a, set()).add(b)
-    return succ
+) -> dict[str, list[tuple[RoutePath, RoutePath]]]:
+    """The transitively closed mandated relation of one prefix, as (better,
+    worse) pairs per source node, one per pair of paths: where the closure
+    holds both orientations, the lexicographically smaller path wins.
+    Mandated pairs share a source, so each node's paths close on their own."""
+    by_source: dict[str, list[tuple[RoutePath, RoutePath]]] = {}
+    for pair in prefs.pairs.get(prefix, frozenset()):
+        by_source.setdefault(pair[0][0], []).append(pair)
+    out: dict[str, list[tuple[RoutePath, RoutePath]]] = {}
+    for v, pairs in by_source.items():
+        if {a for a, _ in pairs}.isdisjoint(b for _, b in pairs):
+            out[v] = pairs  # no path both wins and loses: already closed
+            continue
+        paths = sorted({p for pair in pairs for p in pair})
+        index = {p: i for i, p in enumerate(paths)}
+        succ: list[list[int]] = [[] for _ in paths]
+        for a, b in pairs:
+            succ[index[a]].append(index[b])
+        reach: list[set[int]] = []
+        for i in range(len(paths)):
+            seen: set[int] = set()
+            stack = list(succ[i])
+            while stack:
+                j = stack.pop()
+                if j not in seen:
+                    seen.add(j)
+                    stack.extend(succ[j])
+            reach.append(seen)
+        out[v] = [
+            (paths[i], paths[j])
+            for i, seen in enumerate(reach)
+            for j in seen
+            if i < j or (i > j and i not in reach[j])
+        ]
+    return out
 
 
 def weights_to_pspp(
@@ -369,8 +395,10 @@ def weights_to_pspp(
     does: the mandated verdict when one exists (the external attribute is
     decisive), otherwise by path weight with a lexicographic tie-break. The
     pairwise relation need not be transitive — exactly the conflicts the
-    repair removes — and the order field carries the pure IGP ranking the
-    simulator uses after mandate elimination.
+    repair removes. It is built as an OrderedPrefs: the pure IGP ranking
+    (also the order field, which the simulator uses after mandate
+    elimination) plus the mandated pairs that disagree with it, so no node
+    holds a set of pairs unless something asks for one.
     """
     if egresses is None:
         if prefs is None or prefix not in prefs.egresses:
@@ -384,30 +412,35 @@ def weights_to_pspp(
     for p in all_paths:
         by_source.setdefault(p[0], []).append(p)
 
+    # path_weight's sums, with both orientations of each known link's
+    # weight looked up at once; a path with an unknown weight goes to
+    # path_weight, which names the link
+    arc_weight: dict[tuple[str, str], int] = {}
+    for (a, b), x in w.items():
+        if x is not None and link_key(a, b) == (a, b):
+            arc_weight[a, b] = arc_weight[b, a] = x
+
+    def weight(p: RoutePath) -> int:
+        try:
+            return sum(map(arc_weight.__getitem__, zip(p, p[1:])))
+        except KeyError:
+            return path_weight(p, w)
+
+    none: frozenset[tuple[RoutePath, RoutePath]] = frozenset()
     permitted: dict[str, tuple[RoutePath, ...]] = {}
     order: dict[str, tuple[RoutePath, ...]] = {}
-    relation: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
+    exceptions: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
     mandates: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
     for v, paths in by_source.items():
-        key = {p: (path_weight(p, w), p) for p in paths}
-        permitted[v] = tuple(sorted(paths))
+        key = {p: (weight(p), p) for p in paths}
+        permitted[v] = tuple(paths)  # all_paths is sorted
         order[v] = tuple(sorted(paths, key=key.__getitem__))
-        rel: set[tuple[RoutePath, RoutePath]] = set()
-        mset: set[tuple[RoutePath, RoutePath]] = set()
-        for i, p in enumerate(permitted[v]):
-            for q in permitted[v][i + 1 :]:
-                if q in mand.get(p, ()):
-                    rel.add((p, q))
-                    mset.add((p, q))
-                elif p in mand.get(q, ()):
-                    rel.add((q, p))
-                    mset.add((q, p))
-                elif key[p] < key[q]:
-                    rel.add((p, q))
-                else:
-                    rel.add((q, p))
-        relation[v] = frozenset(rel)
-        mandates[v] = frozenset(mset)
+        mandates[v] = none
+        if v in mand:
+            pos = {p: i for i, p in enumerate(order[v])}
+            mset = [pair for pair in mand[v] if pair[0] in pos and pair[1] in pos]
+            mandates[v] = frozenset(mset)
+            exceptions[v] = frozenset(pair for pair in mset if pos[pair[0]] > pos[pair[1]])
     return PsppInstance(
-        prefix, frozenset(egresses), permitted, relation, order, mandates
+        prefix, frozenset(egresses), permitted, OrderedPrefs(order, exceptions), order, mandates
     )

@@ -129,10 +129,9 @@ def load_cost_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Directed per-link loads with a per-destination decomposition."""
+    """Directed per-link loads."""
 
     loads: Mapping[Arc, float]
-    per_dest: Mapping[str, Mapping[Arc, float]]
     objective: float  # w^T x of the returned loads
     lp_objective: Optional[float] = None
 
@@ -170,13 +169,11 @@ def solve_flow(
     demands.validate(inst)
     routing = route_demands(inst, demands, w, split)
     ga = routing.ga
-    per_dest: dict[str, dict[Arc, float]] = {}
     total: dict[Arc, float] = {}
-    for d, row in zip(routing.dests, routing.loads):
-        dl = {ga.arcs[k]: float(row[k]) for k in np.nonzero(row)[0]}
-        per_dest[d] = dl
-        for arc, x in dl.items():
-            total[arc] = total.get(arc, 0.0) + x
+    for row in routing.loads:
+        for k in np.nonzero(row)[0]:
+            arc = ga.arcs[k]
+            total[arc] = total.get(arc, 0.0) + float(row[k])
     lp_total = None
     if with_lp:
         lp_total = sum(
@@ -185,7 +182,7 @@ def solve_flow(
         )
     wk = {k: float(v) for k, v in w.items() if v is not None}
     objective = sum(wk[link_key(u, v)] * x for (u, v), x in total.items())
-    return FlowSolution(total, per_dest, objective, lp_total)
+    return FlowSolution(total, objective, lp_total)
 
 
 def te_cost(flow: FlowSolution, model: TECostModel) -> float:

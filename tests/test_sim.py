@@ -7,7 +7,7 @@ import pytest
 
 from igpfix.bgp_prefs import derive_med_preferences
 from igpfix.netmodel import ValidationError, assign_random_weights
-from igpfix.pspp import PsppInstance, build_path_digraph, from_total_orders, is_safe
+from igpfix.pspp import OrderedPrefs, PsppInstance, build_path_digraph, from_total_orders, is_safe
 from igpfix.sim import (
     Converged,
     Oscillating,
@@ -257,6 +257,32 @@ def test_weights_to_pspp_flags_intransitive_nodes(six_node):
                 # an intransitive node is a preference cycle: never safe
                 assert not is_safe(build_path_digraph(pspp)).safe
     assert found, "no sampled weighting produced a MED/IGP conflict"
+
+
+def test_simulate_reads_orders_not_pair_sets(six_node, monkeypatch):
+    """On weights_to_pspp's instances, cyclic nodes included, the encoding
+    reads each node's order and exceptions, never its pair set, and every
+    run matches a run on the same instance given as pair sets."""
+    inst, routes = six_node
+    reads = []
+    real = OrderedPrefs.__getitem__
+    monkeypatch.setattr(OrderedPrefs, "__getitem__", lambda self, v: reads.append(v) or real(self, v))
+    kinds, cyclic = Counter(), 0
+    for seed in range(30):
+        w = assign_random_weights(inst, seed=1000 + seed, low=1, high=16)
+        wi = inst.with_weights(w)
+        prefs = derive_med_preferences(wi, routes, hop_bound=2)
+        for pfx in prefs.prefixes():
+            pspp = weights_to_pspp(wi, prefs, w, pfx, hop_bound=2)
+            outs = [simulate(pspp, seed=s) for s in range(3)]
+            assert reads == []
+            pairs = PsppInstance(pspp.destination, pspp.egresses, pspp.permitted,
+                                 {v: frozenset(r) for v, r in pspp.prefs.items()}, pspp.order, pspp.mandates)
+            assert outs == [simulate(pairs, seed=s) for s in range(3)]
+            reads.clear()
+            cyclic += any(pspp.is_cyclic_at(v) for v in pspp.permitted)
+            kinds.update(type(out).__name__ for out in outs)
+    assert cyclic > 0 and kinds["Oscillating"] > 0 and kinds["Converged"] > 0
 
 
 def test_weights_to_pspp_requires_known_egresses(six_node):
