@@ -43,10 +43,12 @@ def suffixes(p: RoutePath) -> list[RoutePath]:
 def path_weight(p: RoutePath, w: Mapping[LinkKey, Optional[int]]) -> int:
     """Sum of link weights along p; 0 for the empty path."""
     total = 0
-    for k in links_of(p):
-        if k not in w or w[k] is None:
+    for a, b in zip(p, p[1:]):
+        k = link_key(a, b)
+        x = w.get(k)
+        if x is None:
             raise WeightError(f"unknown weight on link {k}")
-        total += w[k]
+        total += x
     return total
 
 

@@ -384,12 +384,6 @@ class PathDigraph:
             self._arcs = _full_arcs(self._pspp, self.paths)
         return self._arcs
 
-    def successors(self) -> dict[RoutePath, list[tuple[RoutePath, str]]]:
-        succ: dict[RoutePath, list[tuple[RoutePath, str]]] = {p: [] for p in self.paths}
-        for a, b, kind in self.arcs:
-            succ[a].append((b, kind))
-        return succ
-
     def _index_successors(self) -> _Successors:
         """Successor lists over path indices: the reduced arcs of a built
         digraph, else the arcs in their order."""

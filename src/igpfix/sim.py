@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import random
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .bgp_prefs import MandatedPreferences
-from .netmodel import LinkKey, NetworkInstance, ValidationError, link_key
+from .netmodel import LinkKey, NetworkInstance, ValidationError
 from .paths import RoutePath, enumerate_paths_multi, is_empty, path_weight
 from .pspp import OrderedPrefs, PsppInstance, from_total_orders
 
@@ -353,30 +354,19 @@ def _mandate_relation(
         by_source.setdefault(pair[0][0], []).append(pair)
     out: dict[str, list[tuple[RoutePath, RoutePath]]] = {}
     for v, pairs in by_source.items():
-        if {a for a, _ in pairs}.isdisjoint(b for _, b in pairs):
-            out[v] = pairs  # no path both wins and loses: already closed
-            continue
-        paths = sorted({p for pair in pairs for p in pair})
-        index = {p: i for i, p in enumerate(paths)}
-        succ: list[list[int]] = [[] for _ in paths]
+        worse: defaultdict[RoutePath, set[RoutePath]] = defaultdict(set)
         for a, b in pairs:
-            succ[index[a]].append(index[b])
-        reach: list[set[int]] = []
-        for i in range(len(paths)):
-            seen: set[int] = set()
-            stack = list(succ[i])
-            while stack:
-                j = stack.pop()
-                if j not in seen:
-                    seen.add(j)
-                    stack.extend(succ[j])
-            reach.append(seen)
-        out[v] = [
-            (paths[i], paths[j])
-            for i, seen in enumerate(reach)
-            for j in seen
-            if i < j or (i > j and i not in reach[j])
-        ]
+            worse[a].add(b)
+        # Warshall: a path that beats m also beats all that m beats. Only
+        # the closure's additions are new tuples: the instance keeps these
+        # pairs in its mandates, so given ones are not copied.
+        for m, beaten in worse.items():
+            for a, s in worse.items():
+                if m in s and not beaten <= s:
+                    added = beaten - s
+                    s |= added
+                    pairs.extend((a, b) for b in added)
+        out[v] = [p for p in pairs if p[0] < p[1] or p[0] not in worse.get(p[1], ())]
     return out
 
 
@@ -412,27 +402,13 @@ def weights_to_pspp(
     for p in all_paths:
         by_source.setdefault(p[0], []).append(p)
 
-    # path_weight's sums, with both orientations of each known link's
-    # weight looked up at once; a path with an unknown weight goes to
-    # path_weight, which names the link
-    arc_weight: dict[tuple[str, str], int] = {}
-    for (a, b), x in w.items():
-        if x is not None and link_key(a, b) == (a, b):
-            arc_weight[a, b] = arc_weight[b, a] = x
-
-    def weight(p: RoutePath) -> int:
-        try:
-            return sum(map(arc_weight.__getitem__, zip(p, p[1:])))
-        except KeyError:
-            return path_weight(p, w)
-
     none: frozenset[tuple[RoutePath, RoutePath]] = frozenset()
     permitted: dict[str, tuple[RoutePath, ...]] = {}
     order: dict[str, tuple[RoutePath, ...]] = {}
     exceptions: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
     mandates: dict[str, frozenset[tuple[RoutePath, RoutePath]]] = {}
     for v, paths in by_source.items():
-        key = {p: (weight(p), p) for p in paths}
+        key = {p: (path_weight(p, w), p) for p in paths}
         permitted[v] = tuple(paths)  # all_paths is sorted
         order[v] = tuple(sorted(paths, key=key.__getitem__))
         mandates[v] = none
