@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from .bgp_prefs import MandatedPreferences, derive_med_preferences, load_pref_pairs, load_routes
-from .local_search import SearchConfig, ecmp_cost, generate_starts, parallel_search
+from .local_search import SearchConfig, generate_starts, parallel_search
 from .netmodel import (
     NetworkInstance,
     ParseError,
@@ -33,7 +33,7 @@ from .pspp import build_path_digraph, is_safe
 from .repair import InfeasibleRepairError, RepairConfig, RepairSolution, solve_min_change, build_system
 from .scenarios import random_pref_paths
 from .sim import weights_to_pspp
-from .te import JointConfig, cost_model_for, solve_flow, solve_joint_unequal, te_cost
+from .te import JointConfig, solve_joint_unequal
 
 CONFIG_ENV = "IGPFIX_CONFIG"
 

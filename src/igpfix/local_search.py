@@ -22,8 +22,8 @@ from .bgp_prefs import MandatedPreferences
 from .netmodel import DemandMatrix, LinkKey, NetworkInstance, ValidationError, WeightError
 from .paths import links_of, path_weight
 from .repair import RepairConfig, RepairSolution, VerificationRecord, changed_links_of, verify_solution
-from .routing import GraphArrays, route_demands, route_moves, total_load
-from .te import JointConfig, TECostModel, cost_model_for, solve_joint_unequal
+from .routing import route_demands, route_moves, total_load
+from .te import JointConfig, TECostModel, arc_capacities, cost_model_for, solve_joint_unequal, te_costs
 
 
 def ecmp_cost(
@@ -37,16 +37,8 @@ def ecmp_cost(
     if model is None:
         model = cost_model_for(inst)
     routing = route_demands(inst, demands, w)
-    return _te_costs(model, routing.ga, total_load(routing.loads)[None])[0]
-
-
-def _te_costs(model: TECostModel, ga: GraphArrays, totals: np.ndarray) -> list[float]:
-    """Penalty of each row of directed arc loads (summed across
-    destinations in destination order), added up over the loaded arcs in
-    arc order."""
-    caps = np.array([model.capacities[k] for k in ga.links])[ga.arc_link]
-    penalty = model.phi_array(totals, caps)
-    return [float(sum(p[t != 0].tolist())) for p, t in zip(penalty, totals)]
+    caps = arc_capacities(model, routing.ga)
+    return te_costs(model, total_load(routing.loads)[None], caps)[0]
 
 
 @dataclass(frozen=True)
@@ -151,7 +143,8 @@ def search(
 
     rng = random.Random(cfg.seed)
     incumbent = route_demands(inst, demands, cur)
-    cur_cost = _te_costs(model, incumbent.ga, total_load(incumbent.loads)[None])[0]
+    caps = arc_capacities(model, incumbent.ga)
+    cur_cost = te_costs(model, total_load(incumbent.loads)[None], caps)[0]
     # visited states are keyed by their weights in link order
     cur_t = tuple(cur[k] for k in links)
     visited: OrderedDict[tuple, None] = OrderedDict()
@@ -188,7 +181,7 @@ def search(
         scored += len(cols)
         recomputed += int(rerouted.sum())
         best_move = None
-        for i, v, c in zip(cols.tolist(), vals.tolist(), _te_costs(model, incumbent.ga, totals)):
+        for i, v, c in zip(cols.tolist(), vals.tolist(), te_costs(model, totals, caps)):
             if c < cur_cost and (best_move is None or c < best_move[0]):
                 best_move = (c, i, v)
         if best_move is not None:

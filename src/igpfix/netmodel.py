@@ -7,7 +7,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 LinkKey = tuple[str, str]
 
@@ -288,7 +288,3 @@ def random_demands(inst: NetworkInstance, pairs: int, seed: int, low: float = 10
             entries[(s, d)] = rng.uniform(low, high)
         attempts += 1
     return DemandMatrix(entries)
-
-
-def demands_from_iter(items: Iterable[tuple[str, str, float]]) -> DemandMatrix:
-    return DemandMatrix({(s, d): m for s, d, m in items})

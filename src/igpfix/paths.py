@@ -1,4 +1,4 @@
-"""Shortest paths, ECMP routing structure, and bounded path enumeration.
+"""Route paths, their weights, and bounded path enumeration.
 
 Paths are tuples of node ids ending at the destination; the empty path at d
 is the one-element tuple (d,).
@@ -6,13 +6,9 @@ is the one-element tuple (d,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .netmodel import LinkKey, NetworkInstance, WeightError, link_key
-from .routing import shortest_paths
 
 RoutePath = tuple[str, ...]
 
@@ -50,44 +46,6 @@ def path_weight(p: RoutePath, w: Mapping[LinkKey, Optional[int]]) -> int:
             raise WeightError(f"unknown weight on link {k}")
         total += x
     return total
-
-
-@dataclass(frozen=True)
-class EcmpDag:
-    """Minimum-weight next-hop DAG toward one destination."""
-
-    destination: str
-    dist: Mapping[str, float]
-    next_hops: Mapping[str, tuple[str, ...]]
-
-    def reachable(self, v: str) -> bool:
-        return np.isfinite(self.dist[v])
-
-
-def build_ecmp_dag(
-    inst: NetworkInstance, d: str, w: Mapping[LinkKey, Optional[int]]
-) -> EcmpDag:
-    """DAG of all minimum-weight next hops toward d; rejects zero weights
-    (see routing.Routing.require_positive)."""
-    if d not in inst.nodes:
-        raise KeyError(f"destination {d!r} not in instance")
-    routing = shortest_paths(inst, [d], w)
-    routing.require_positive()
-    ga, dist = routing.ga, routing.dist[0]
-    hops: dict[str, list[str]] = {v: [] for v in inst.nodes}
-    for k in np.nonzero(routing.next_hop[0])[0]:
-        u, v = ga.arcs[k]
-        hops[u].append(v)
-    next_hops = {v: tuple(sorted(hops[v])) if dist[ga.index[v]] > 0 else () for v in inst.nodes}
-    return EcmpDag(d, {v: float(dist[ga.index[v]]) for v in inst.nodes}, next_hops)
-
-
-def dijkstra_distances(
-    inst: NetworkInstance, d: str, w: Mapping[LinkKey, Optional[int]]
-) -> dict[str, float]:
-    """Shortest-path distance of every node to d (inf if unreachable)."""
-    routing = shortest_paths(inst, [d], w)
-    return {v: float(routing.dist[0, routing.ga.index[v]]) for v in inst.nodes}
 
 
 def enumerate_paths(inst: NetworkInstance, d: str, hop_bound: int) -> list[RoutePath]:

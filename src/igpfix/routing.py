@@ -3,8 +3,8 @@
 One scipy csgraph Dijkstra call gives every node's distance to each
 destination. The next-hop mask and the loads follow as array operations over
 the directed arcs, one row per destination. Every routing view in the
-package reads from here: the ECMP TE cost, shortest-path flow, the ECMP DAG
-and plain distances.
+package reads from here: the ECMP TE cost, the move scorer and
+shortest-path flow.
 """
 
 from __future__ import annotations

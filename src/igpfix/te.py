@@ -3,7 +3,10 @@ repair-plus-TE optimization for routers that can split traffic unequally.
 
 The link cost is the classic piecewise-linear convex utilization penalty
 (slopes 1/3/10/70/500/5000 at utilization breakpoints 1/3, 2/3, 9/10, 1,
-11/10); any convex table can be substituted via CSV override.
+11/10); any convex table can be substituted by reading it with
+load_cost_table and passing TECostModel(breakpoints=..., slopes=...).
+Every TE cost in the package comes from te_costs: directed arc loads as
+arrays, priced with phi_array and summed over the loaded arcs in arc order.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -37,7 +40,7 @@ from .repair import (
     solve_relaxed,
     verify_solution,
 )
-from .routing import Arc, GraphArrays, route_demands
+from .routing import Arc, GraphArrays, graph_arrays, route_demands, total_load
 
 DEFAULT_BREAKPOINTS = (1 / 3, 2 / 3, 9 / 10, 1.0, 11 / 10)
 DEFAULT_SLOPES = (1.0, 3.0, 10.0, 70.0, 500.0, 5000.0)
@@ -50,8 +53,6 @@ class TECostModel:
     capacities: Mapping[LinkKey, float]
     breakpoints: tuple[float, ...] = DEFAULT_BREAKPOINTS
     slopes: tuple[float, ...] = DEFAULT_SLOPES
-    baseline_loads: Optional[Mapping[Arc, float]] = None
-    baseline_cost: Optional[float] = None
 
     def __post_init__(self) -> None:
         if len(self.slopes) != len(self.breakpoints) + 1:
@@ -61,23 +62,10 @@ class TECostModel:
         ):
             raise ValidationError("breakpoints and slopes must be nondecreasing (convexity)")
 
-    def phi(self, load: float, capacity: float) -> float:
-        """Piecewise-linear cost of a single directed load."""
-        if load <= 0:
-            return 0.0
-        cost = 0.0
-        prev = 0.0
-        for bp, slope in zip(self.breakpoints, self.slopes):
-            edge = bp * capacity
-            if load <= edge:
-                return cost + slope * (load - prev)
-            cost += slope * (edge - prev)
-            prev = edge
-        return cost + self.slopes[-1] * (load - prev)
-
     def phi_array(self, loads: np.ndarray, capacities: np.ndarray) -> np.ndarray:
-        """phi of each load against the capacity broadcast with it, with
-        the same operations in the same order, so bit-identical to phi."""
+        """Penalty of each directed load against the capacity broadcast
+        with it: slope times load up to the first breakpoint, each further
+        segment added at its own slope."""
         out = np.zeros(np.broadcast_shapes(np.shape(loads), np.shape(capacities)))
         done = loads <= 0
         cost = prev = np.zeros(np.shape(capacities))
@@ -98,15 +86,22 @@ class TECostModel:
                 return slope
         return self.slopes[-1]
 
-    def with_baseline(self, loads: Mapping[Arc, float]) -> "TECostModel":
-        total = sum(
-            self.phi(x, self.capacities[link_key(u, v)]) for (u, v), x in loads.items()
-        )
-        return replace(self, baseline_loads=dict(loads), baseline_cost=total)
-
 
 def cost_model_for(inst: NetworkInstance) -> TECostModel:
     return TECostModel({ln.key: ln.capacity for ln in inst.links})
+
+
+def arc_capacities(model: TECostModel, ga: GraphArrays) -> np.ndarray:
+    """Capacity of each directed arc of ga, in arc order."""
+    return np.array([model.capacities[k] for k in ga.links])[ga.arc_link]
+
+
+def te_costs(model: TECostModel, totals: np.ndarray, caps: np.ndarray) -> list[float]:
+    """TE cost of each row of directed arc loads, given each column's
+    capacity: phi_array of every arc, added up over the loaded arcs in
+    column order. Every TE cost in the package is priced here."""
+    penalty = model.phi_array(totals, caps)
+    return [float(sum(p[t != 0].tolist())) for p, t in zip(penalty, totals)]
 
 
 def load_cost_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -169,11 +164,9 @@ def solve_flow(
     demands.validate(inst)
     routing = route_demands(inst, demands, w, split)
     ga = routing.ga
-    total: dict[Arc, float] = {}
-    for row in routing.loads:
-        for k in np.nonzero(row)[0]:
-            arc = ga.arcs[k]
-            total[arc] = total.get(arc, 0.0) + float(row[k])
+    total = total_load(routing.loads)
+    loaded = np.flatnonzero(total)
+    loads = dict(zip([ga.arcs[k] for k in loaded], total[loaded].tolist()))
     lp_total = None
     if with_lp:
         lp_total = sum(
@@ -181,15 +174,15 @@ def solve_flow(
             for d, vec in zip(routing.dests, routing.demand)
         )
     wk = {k: float(v) for k, v in w.items() if v is not None}
-    objective = sum(wk[link_key(u, v)] * x for (u, v), x in total.items())
-    return FlowSolution(total, objective, lp_total)
+    objective = sum(wk[link_key(u, v)] * x for (u, v), x in loads.items())
+    return FlowSolution(loads, objective, lp_total)
 
 
 def te_cost(flow: FlowSolution, model: TECostModel) -> float:
-    """Total convex utilization penalty of the directed loads."""
-    return sum(
-        model.phi(x, model.capacities[link_key(u, v)]) for (u, v), x in flow.loads.items()
-    )
+    """Total convex utilization penalty of the directed loads: te_costs of
+    the flow's loads in their order, which solve_flow gives in arc order."""
+    caps = np.array([model.capacities[link_key(u, v)] for u, v in flow.loads])
+    return te_costs(model, np.array([list(flow.loads.values())]), caps)[0]
 
 
 @dataclass(frozen=True)
@@ -219,18 +212,17 @@ def _with_unknowns_filled(w: Mapping[LinkKey, Optional[int]]) -> dict[LinkKey, i
 
 
 def joint_objective(
-    model: TECostModel,
     threshold: float,
     w_initial: Mapping[LinkKey, Optional[int]],
     weights: Mapping[LinkKey, int],
-    flow: FlowSolution,
+    cost: float,
     cfg: RepairConfig,
     jcfg: JointConfig,
     w_max: int,
     n_links: int,
-) -> tuple[float, float]:
-    """(joint objective, TE cost) of one candidate weight assignment, given
-    its shortest-path flow.
+) -> float:
+    """Joint objective of one candidate weight assignment, given its TE
+    cost.
 
     The TE term penalizes only the total cost in excess of the baseline
     scaled by (1 + gamma/100); within tolerance it contributes 0, so an
@@ -242,8 +234,7 @@ def joint_objective(
     for k, init in w_initial.items():
         if init is not None:
             change += h_cost(weights[k] - init, cfg, w_max, n_links)
-    cost = te_cost(flow, model)
-    return change + jcfg.m_prime * max(0.0, cost - threshold), cost
+    return change + jcfg.m_prime * max(0.0, cost - threshold)
 
 
 def solve_joint_unequal(
@@ -267,18 +258,26 @@ def solve_joint_unequal(
     distinct weight vector is routed once. When the exact seed finds the
     mandates infeasible, the result's exact_seed_skipped says why.
     """
+    demands.validate(inst)
     sys = build_system(inst, prefs)
     eps, big_m, w_max = cfg.resolved(sys, max(len(w_initial), 1))
     model = cost_model_for(inst)
-    flows: dict[tuple, FlowSolution] = {}
+    ga = graph_arrays(inst)
+    caps = arc_capacities(model, ga)
+    column = {k: i for i, k in enumerate(ga.links)}
+    totals: dict[tuple, np.ndarray] = {}
 
-    def flow_of(w: Mapping[LinkKey, int]) -> FlowSolution:
+    def load_of(w: Mapping[LinkKey, int]) -> np.ndarray:
+        """Directed arc loads of w, summed over destinations."""
         key = tuple(sorted(w.items()))
-        if key not in flows:
-            flows[key] = solve_flow(inst, demands, w)
-        return flows[key]
+        if key not in totals:
+            totals[key] = total_load(route_demands(inst, demands, w).loads)
+        return totals[key]
 
-    base_cost = te_cost(flow_of(_with_unknowns_filled(w_initial)), model)
+    def cost_of(w: Mapping[LinkKey, int]) -> float:
+        return te_costs(model, load_of(w)[None], caps)[0]
+
+    base_cost = cost_of(_with_unknowns_filled(w_initial))
     threshold = base_cost * (1 + jcfg.gamma / 100.0)
     excluded = {tuple(sorted(e.items())) for e in exclude}
     rng = random.Random(jcfg.seed)
@@ -308,13 +307,13 @@ def solve_joint_unequal(
             current = rounded
             for it in range(jcfg.iterations):
                 try:
-                    flow = flow_of(current)
+                    total = load_of(current)
                 except ValidationError:
                     break
                 push = {}
                 for k in sys.links:
-                    load = flow.loads.get((k[0], k[1]), 0.0) + flow.loads.get((k[1], k[0]), 0.0)
-                    price = model.phi_slope(load, model.capacities[k])
+                    fwd, rev = ga.link_arcs[column[k]]
+                    price = model.phi_slope(total[fwd] + total[rev], model.capacities[k])
                     # expensive links want higher weight: negative LP cost on w
                     push[k] = -price / max(model.capacities[k], 1.0)
                 mu = (1.0 + it) * (1.0 + 0.1 * rng.random())
@@ -340,10 +339,9 @@ def solve_joint_unequal(
         if tuple(sorted(weights.items())) in excluded:
             continue
         try:
-            obj, cost = joint_objective(
-                model, threshold, w_initial, weights, flow_of(weights), cfg, jcfg,
-                w_max, len(w_initial),
-            )
+            cost = cost_of(weights)
+            obj = joint_objective(threshold, w_initial, weights, cost, cfg, jcfg,
+                                  w_max, len(w_initial))
         except WeightError:
             continue  # zero-weight candidate: unroutable under ECMP
         _, n_changed = changed_links_of(w_initial, weights)

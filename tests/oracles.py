@@ -149,6 +149,22 @@ def ecmp_arc_loads(
     return {d: {arcs[k]: float(row[k]) for k in np.nonzero(row)[0]} for d, row in rows.items()}
 
 
+def phi_py(model, load: float, capacity: float) -> float:
+    """Piecewise-linear penalty of one directed load, one segment at a time
+    from the model's breakpoints and slopes."""
+    if load <= 0:
+        return 0.0
+    cost = 0.0
+    prev = 0.0
+    for bp, slope in zip(model.breakpoints, model.slopes):
+        edge = bp * capacity
+        if load <= edge:
+            return cost + slope * (load - prev)
+        cost += slope * (edge - prev)
+        prev = edge
+    return cost + model.slopes[-1] * (load - prev)
+
+
 def ecmp_cost_py(inst, demands, w, model) -> float:
     """Equal-split TE cost: loads summed per arc in destination order, then
     the penalty summed in arc order."""
@@ -157,7 +173,7 @@ def ecmp_cost_py(inst, demands, w, model) -> float:
     for row in rows.values():
         agg += row
     return float(sum(
-        model.phi(float(agg[k]), model.capacities[link_key(*arcs[k])])
+        phi_py(model, float(agg[k]), model.capacities[link_key(*arcs[k])])
         for k in np.nonzero(agg)[0]
     ))
 
@@ -257,7 +273,7 @@ def enum_ecmp_cost(inst, w, entries, model) -> float:
         for arc, x in enum_equal_split_loads(inst, w, dest, demand).items():
             agg[arc] = agg.get(arc, 0.0) + x
     return sum(
-        model.phi(x, model.capacities[link_key(u, v)]) for (u, v), x in agg.items()
+        phi_py(model, x, model.capacities[link_key(u, v)]) for (u, v), x in agg.items()
     )
 
 

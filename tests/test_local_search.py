@@ -24,7 +24,7 @@ from igpfix.repair import RepairConfig, VerificationRecord, verify_solution
 from igpfix.scenarios import random_pref_paths, two_prefix_med
 from igpfix.te import JointConfig, cost_model_for
 
-from oracles import enum_equal_split_loads, random_small_instance, search_py
+from oracles import enum_equal_split_loads, phi_py, random_small_instance, search_py
 
 
 def _square():
@@ -50,7 +50,7 @@ def test_ecmp_cost_matches_enumeration_oracle():
     dm = DemandMatrix({("a", "d"): 8.0, ("b", "d"): 2.0})
     model = cost_model_for(inst)
     loads = enum_equal_split_loads(inst, w, "d", {"a": 8.0, "b": 2.0})
-    want = sum(model.phi(x, 100.0) for x in loads.values())
+    want = sum(phi_py(model, x, 100.0) for x in loads.values())
     assert ecmp_cost(inst, dm, w, model) == pytest.approx(want, rel=1e-12)
 
 

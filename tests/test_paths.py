@@ -5,8 +5,6 @@ import pytest
 from igpfix.netmodel import Link, NetworkInstance
 from igpfix.paths import (
     WeightError,
-    build_ecmp_dag,
-    dijkstra_distances,
     enumerate_paths,
     enumerate_paths_multi,
     immediate_suffix,
@@ -15,8 +13,6 @@ from igpfix.paths import (
     path_weight,
     suffixes,
 )
-
-from oracles import all_pairs_distances
 
 
 def _square():
@@ -46,32 +42,6 @@ def test_path_weight_and_unknown():
     assert path_weight(("d",), w) == 0
     with pytest.raises(WeightError):
         path_weight(("a", "c"), w)
-
-
-def test_dijkstra_matches_oracle():
-    inst = _square()
-    w = {("a", "b"): 1, ("b", "d"): 4, ("a", "c"): 2, ("c", "d"): 1}
-    got = dijkstra_distances(inst, "d", w)
-    want = all_pairs_distances(inst, w)
-    assert got == {v: want[v]["d"] for v in inst.nodes}
-
-
-def test_ecmp_dag_square_tie():
-    inst = _square()
-    w = {k: 1 for k in inst.link_keys()}
-    dag = build_ecmp_dag(inst, "d", w)
-    assert dag.next_hops["a"] == ("b", "c")
-    assert dag.next_hops["b"] == ("d",)
-    assert dag.next_hops["d"] == ()
-    assert dag.dist["a"] == 2.0
-
-
-def test_ecmp_dag_rejects_nonpositive_weight():
-    inst = _square()
-    w = {k: 1 for k in inst.link_keys()}
-    w[("a", "b")] = 0
-    with pytest.raises(WeightError):
-        build_ecmp_dag(inst, "d", w)
 
 
 def _all_simple_paths(inst, d, hop_bound):

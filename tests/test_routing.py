@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from igpfix import routing as routing_mod
-from igpfix.local_search import _te_costs, ecmp_cost
+from igpfix.bgp_prefs import MandatedPreferences
+from igpfix.local_search import ecmp_cost
 from igpfix.netmodel import (
     DemandMatrix,
     Link,
@@ -12,15 +13,26 @@ from igpfix.netmodel import (
     assign_random_weights,
     random_demands,
 )
+from igpfix.repair import RepairConfig
 from igpfix.routing import route_demands, route_moves, shortest_paths
-from igpfix.te import cost_model_for, solve_flow
+from igpfix.te import (
+    JointConfig,
+    arc_capacities,
+    cost_model_for,
+    solve_flow,
+    solve_joint_unequal,
+    te_cost,
+    te_costs,
+)
 
 from oracles import all_pairs_distances, ecmp_arc_loads, ecmp_cost_py, random_small_instance
 
 
 def test_evaluator_matches_loop_oracle_exactly():
     """Distances, per-arc loads and ECMP cost equal the per-destination loop
-    bit for bit. Weights in 1..2-4 make equal-cost ties common; up to 14
+    bit for bit, and so do the other views of the one TE cost evaluator:
+    te_cost of the shortest-path flow, and the costs before and after a
+    joint repair (no mandates) equal ecmp_cost. Weights in 1..2-4 make equal-cost ties common; up to 14
     nodes and 20 demands give three-way splits and inflows summed from
     several nodes at one distance, where a changed visiting or rounding
     order shows."""
@@ -39,7 +51,17 @@ def test_evaluator_matches_loop_oracle_exactly():
         }
         assert got == ecmp_arc_loads(inst, dm, w), seed
         model = cost_model_for(inst)
-        assert ecmp_cost(inst, dm, w, model) == ecmp_cost_py(inst, dm, w, model), seed
+        cost = ecmp_cost(inst, dm, w, model)
+        assert cost == ecmp_cost_py(inst, dm, w, model), seed
+        assert te_cost(solve_flow(inst, dm, w), model) == cost, seed
+        if seed % 4 == 0:
+            # unknown initial weights are priced as 1
+            w_initial = w if seed % 8 else {**w, inst.link_keys()[0]: None}
+            base_w = {k: 1 if v is None else v for k, v in w_initial.items()}
+            sol = solve_joint_unequal(inst, dm, MandatedPreferences({}, {}), w_initial,
+                                      RepairConfig(min_weight=1), JointConfig(exact_budget=0.0))
+            assert sol.te_cost_before == ecmp_cost(inst, dm, base_w, model), seed
+            assert sol.te_cost_after == ecmp_cost(inst, dm, sol.weights, model), seed
 
         dist = all_pairs_distances(inst, w)
         for i, d in enumerate(routing.dests):
@@ -110,7 +132,7 @@ def test_move_scores_match_loop_oracle_exactly(monkeypatch):
         ga = base.ga
         moves = [(i, v) for i, k in enumerate(ga.links) for v in range(1, w_max + 1) if v != w[k]]
         totals, rerouted = route_moves(base, [i for i, _ in moves], [v for _, v in moves])
-        costs = _te_costs(model, ga, totals)
+        costs = te_costs(model, totals, arc_capacities(model, ga))
         for (i, v), cost, r in zip(moves, costs, rerouted):
             k = ga.links[i]
             assert cost == ecmp_cost_py(inst, dm, {**w, k: v}, model), (seed, k, v)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from igpfix.bgp_prefs import derive_med_preferences
+from igpfix.local_search import ecmp_cost
 from igpfix.netmodel import (
     DemandMatrix,
     Link,
@@ -32,7 +33,7 @@ from igpfix.te import (
     te_cost,
 )
 
-from oracles import all_pairs_distances
+from oracles import all_pairs_distances, phi_py
 
 
 def _square():
@@ -45,21 +46,25 @@ def _square():
     return NetworkInstance(("a", "b", "c", "d"), links, 10)
 
 
+def _phi(m, load, capacity):
+    return float(m.phi_array(np.array(load), np.array(capacity)))
+
+
 def test_phi_piecewise_values():
     m = TECostModel({("a", "b"): 3.0})
     # below the first breakpoint the slope is 1
-    assert m.phi(0.5, 3.0) == pytest.approx(0.5)
-    assert m.phi(0.0, 3.0) == 0.0
+    assert _phi(m, 0.5, 3.0) == pytest.approx(0.5)
+    assert _phi(m, 0.0, 3.0) == 0.0
     # 1.5 = cap * 1/2: one unit at slope 1, then 0.5 at slope 3
-    assert m.phi(1.5, 3.0) == pytest.approx(1.0 + 3 * 0.5)
+    assert _phi(m, 1.5, 3.0) == pytest.approx(1.0 + 3 * 0.5)
     # overload region uses the terminal slope 5000
-    assert m.phi(3.5, 3.0) > 5000 * 0.19
+    assert _phi(m, 3.5, 3.0) > 5000 * 0.19
 
 
 def test_phi_is_convex_increasing():
     m = TECostModel({("a", "b"): 10.0})
     xs = [i * 0.5 for i in range(30)]
-    ys = [m.phi(x, 10.0) for x in xs]
+    ys = m.phi_array(np.array(xs), np.array(10.0)).tolist()
     slopes = [ys[i + 1] - ys[i] for i in range(len(ys) - 1)]
     assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
 
@@ -67,7 +72,7 @@ def test_phi_is_convex_increasing():
 def test_phi_slope_matches_phi():
     m = TECostModel({("a", "b"): 10.0})
     for load in (1.0, 5.0, 8.5, 9.5, 10.5, 12.0):
-        num = (m.phi(load + 1e-6, 10.0) - m.phi(load, 10.0)) / 1e-6
+        num = (_phi(m, load + 1e-6, 10.0) - _phi(m, load, 10.0)) / 1e-6
         assert m.phi_slope(load, 10.0) == pytest.approx(num, rel=1e-4)
 
 
@@ -131,15 +136,7 @@ def test_te_cost_sums_phi():
     model = cost_model_for(inst)
     dm = DemandMatrix({("a", "d"): 8.0})
     flow = solve_flow(inst, dm, {k: 1 for k in inst.link_keys()})
-    assert te_cost(flow, model) == pytest.approx(4 * model.phi(4.0, 100.0))
-
-
-def test_with_baseline_freezes_cost():
-    inst = _square()
-    model = cost_model_for(inst)
-    flow = solve_flow(inst, DemandMatrix({("a", "d"): 8.0}), {k: 1 for k in inst.link_keys()})
-    m2 = model.with_baseline(flow.loads)
-    assert m2.baseline_cost == pytest.approx(te_cost(flow, model))
+    assert te_cost(flow, model) == pytest.approx(4 * phi_py(model, 4.0, 100.0))
 
 
 def _joint_setup(seed=1001):
@@ -152,12 +149,20 @@ def _joint_setup(seed=1001):
     return inst, random_demands(inst, pairs=8, seed=3), prefs
 
 
+def _assert_costs_are_ecmp_costs(inst, dm, w_initial, sol):
+    """The joint solve prices with the one TE cost evaluator: its costs
+    equal ecmp_cost bit for bit, unknown initial weights read as 1."""
+    base_w = {k: 1 if v is None else v for k, v in w_initial.items()}
+    assert sol.te_cost_before == ecmp_cost(inst, dm, base_w)
+    assert sol.te_cost_after == ecmp_cost(inst, dm, sol.weights)
+
+
 def test_joint_solution_verifies_and_reports_costs():
     inst, dm, prefs = _joint_setup()
     sol = solve_joint_unequal(inst, dm, prefs, inst.initial_weights(),
                               RepairConfig(min_weight=1), JointConfig(gamma=10.0))
     assert sol.realized.ok
-    assert sol.te_cost_before is not None and sol.te_cost_after is not None
+    _assert_costs_are_ecmp_costs(inst, dm, inst.initial_weights(), sol)
     assert min(sol.weights.values()) >= 1
 
 
@@ -177,13 +182,13 @@ def test_joint_objective_penalizes_only_excess():
     model = cost_model_for(inst)
     w = {k: v for k, v in inst.initial_weights().items()}
     cfg, jcfg = RepairConfig(min_weight=1), JointConfig(gamma=0.0)
-    from igpfix.te import solve_flow as sf
-    flow = sf(inst, dm, w)
-    base = te_cost(flow, model)
-    obj, cost = joint_objective(model, base * 2, inst.initial_weights(), w, flow,
-                                cfg, jcfg, inst.w_max, len(w))
-    assert cost == pytest.approx(base)
-    assert obj == 0.0  # no change, cost below threshold
+    base = te_cost(solve_flow(inst, dm, w), model)
+    # no change, cost below threshold
+    assert joint_objective(base * 2, inst.initial_weights(), w, base,
+                           cfg, jcfg, inst.w_max, len(w)) == 0.0
+    # no change, cost above threshold: only the excess, scaled by m_prime
+    assert joint_objective(base / 2, inst.initial_weights(), w, base, cfg,
+                           JointConfig(m_prime=3.0), inst.w_max, len(w)) == 3.0 * (base - base / 2)
 
 
 def test_joint_exclude_forces_alternative():
@@ -194,6 +199,7 @@ def test_joint_exclude_forces_alternative():
                                  exclude=(first.weights,))
     assert second.weights != first.weights
     assert second.realized.ok
+    _assert_costs_are_ecmp_costs(inst, dm, inst.initial_weights(), second)
 
 
 def test_joint_exact_seed_propagates_unrelated_errors(monkeypatch):
@@ -217,7 +223,7 @@ def test_phi_array_is_bit_identical_to_phi():
     loads = np.concatenate([[0.0, -1.0], edges, np.nextafter(edges, np.inf),
                             rng.uniform(0, 2 * caps.max(), 400)])
     got = model.phi_array(loads[:, None], caps)
-    want = [[model.phi(float(x), float(c)) for c in caps] for x in loads]
+    want = [[phi_py(model, float(x), float(c)) for c in caps] for x in loads]
     assert got.tolist() == want
 
 
@@ -300,6 +306,7 @@ def test_joint_routes_each_weight_vector_once(monkeypatch):
             stage, objective, n_changed, weights)
         assert sol.te_cost_before == sol.te_cost_after == 15878.848472052257
         assert sol.exact_seed_skipped is None
+        _assert_costs_are_ecmp_costs(inst, dm, inst.initial_weights(), sol)
 
 
 def test_joint_records_a_skipped_exact_seed(monkeypatch):
